@@ -57,8 +57,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "see.states_explored",
     "see.states_pruned",
     "see.steps",
-    "see.frontier_deduped",
-    "see.dominance_pruned",
     "see.route_bfs_runs",
     "see.route_cache_hits",
     "see.route_table_bytes",
@@ -66,10 +64,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "see.arc_table_bytes",
     "see.state_arena_bytes",
     "see.state_clones",
-    "see.lanes_scored",
-    "see.lane_batches",
-    "see.scalar_tail",
-    "see.lane_fill_pct",
     "driver.subproblems",
     "driver.memo_hits",
     "driver.memo_misses",

@@ -72,8 +72,7 @@ struct SubReport {
 pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
     let mut subs: BTreeMap<String, SubReport> = BTreeMap::new();
     // Pruning-reason totals across every step of every SEE run.
-    let (mut pr_beam, mut pr_margin, mut pr_branch, mut pr_dedup, mut pr_dom) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut pr_beam, mut pr_margin, mut pr_branch) = (0u64, 0u64, 0u64);
     let (mut rescued_steps, mut route_bfs, mut route_hits) = (0u64, 0u64, 0u64);
     let mut depth_stats: BTreeMap<u32, (u64, u64, u64)> = BTreeMap::new(); // subs, steps, ns
     let mut mii_rec: Option<&TraceRecord> = None;
@@ -93,8 +92,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
                 pr_beam += r.pruned_beam;
                 pr_margin += r.rej_margin;
                 pr_branch += r.rej_branch;
-                pr_dedup += r.deduped;
-                pr_dom += r.dominated;
                 rescued_steps += u64::from(r.rescued);
                 let d = depth_stats.entry(r.depth).or_default();
                 d.1 += 1;
@@ -139,14 +136,12 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
         );
     }
 
-    let pr_total = pr_beam + pr_margin + pr_branch + pr_dedup + pr_dom;
+    let pr_total = pr_beam + pr_margin + pr_branch;
     let _ = writeln!(out, "\npruning reasons ({pr_total} candidate/state drops):");
     for (label, n) in [
         ("beam truncation", pr_beam),
         ("margin rejection", pr_margin),
         ("branch truncation", pr_branch),
-        ("frontier dedup", pr_dedup),
-        ("dominance", pr_dom),
     ] {
         let pct = if pr_total > 0 {
             n as f64 * 100.0 / pr_total as f64

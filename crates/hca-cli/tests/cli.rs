@@ -216,6 +216,36 @@ fn explain_replays_identically_from_a_recorded_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Traces recorded before the frontier dedup and dominance counters were
+/// dropped carry `deduped`/`dominated` on their step lines: they must still
+/// replay, with the retired fields ignored.
+#[test]
+fn explain_replays_a_trace_with_retired_dedup_and_dominance_fields() {
+    let dir = std::env::temp_dir().join(format!("hca-cli-legacy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("legacy.jsonl");
+    let lines = [
+        r#"{"kind":"sub","problem":"0","ws":5}"#,
+        concat!(
+            r#"{"kind":"step","problem":"0","step":0,"node":3,"beam":4,"explored":10,"#,
+            r#""pruned_beam":4,"rej_margin":2,"rej_branch":1,"deduped":2,"dominated":1,"#,
+            r#""rescued":false,"ns":1000,"cands":[[0,1.5]]}"#
+        ),
+    ];
+    std::fs::write(&trace, lines.join("\n")).unwrap();
+    let (ok, stdout, stderr) = hca(&["explain", trace.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("pruning reasons (7 candidate/state drops)"),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("dedup") && !stdout.contains("dominance"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn explain_works_on_a_fuzz_seed() {
     let (ok, stdout, stderr) = hca(&["explain", "fuzz", "--seed", "7"]);

@@ -370,8 +370,6 @@ fn record_see_stats(obs: &Obs, s: &hca_see::SeeStats) {
     obs.counter_add("see.routed_hops", u64::from(s.routed_hops));
     obs.counter_add("see.route_bfs_runs", s.route_bfs_runs as u64);
     obs.counter_add("see.route_cache_hits", s.route_cache_hits as u64);
-    obs.counter_add("see.frontier_deduped", s.frontier_deduped as u64);
-    obs.counter_add("see.dominance_pruned", s.dominance_pruned as u64);
     obs.counter_add("see.steps", s.steps as u64);
     // The occupancy vector is a bounded *sample* (STEP_SAMPLE_CAP); the
     // histogram over it stays representative, the exact totals live in
@@ -384,17 +382,6 @@ fn record_see_stats(obs: &Obs, s: &hca_see::SeeStats) {
     // keeps this at zero; a non-zero value means a per-candidate state copy
     // crept back into the hot loop (`tests/determinism.rs` hard-fails on it).
     obs.counter_add("see.state_clones", s.state_clones as u64);
-    // Batched-scoring kernel coverage. `lane_fill_pct` is the share of
-    // scored candidates that went through full lane batches (a high-water
-    // mark across runs): full-batch-only flushing makes capacity fill
-    // trivially 100%, so coverage is the number worth watching.
-    obs.counter_add("see.lanes_scored", s.lanes_scored as u64);
-    obs.counter_add("see.lane_batches", s.lane_batches as u64);
-    obs.counter_add("see.scalar_tail", s.scalar_tail as u64);
-    let scored = s.lanes_scored + s.scalar_tail;
-    if let Some(pct) = (s.lanes_scored * 100).checked_div(scored) {
-        obs.counter_max("see.lane_fill_pct", pct as u64);
-    }
     // Byte footprints are high-water marks, never histograms (histogram
     // buckets are dense, indexed by magnitude).
     obs.counter_max("see.route_table_bytes", s.route_table_bytes as u64);

@@ -22,15 +22,13 @@
 //!   requests against *different* machines;
 //! * the full solving context — every result-affecting
 //!   [`SeeConfig`](hca_see::SeeConfig) field (the escalation tiers are pure
-//!   functions of it; result-transparent fields like `batched_scoring`,
-//!   `scalar_cutoff`, `lane_width` and `mii_bound` are deliberately
-//!   exempt — they are pinned bit-identical by the determinism suite), the
+//!   functions of it; the one result-transparent field, `mii_bound`, is
+//!   deliberately exempt — it only reports a proven early exit), the
 //!   issue-cap slack, validation level, the full
 //!   [`PortfolioConfig`](crate::PortfolioConfig) (mode, exact size/budget
 //!   caps and the deadline — a deadline-raced entry must never answer a
 //!   deterministic run), the unified-machine theoretical MII, `MIIRec`,
-//!   the *effective* dominance flag (config AND environment), and the
-//!   hierarchy depth;
+//!   and the hierarchy depth;
 //! * the working set in canonical numbering (nodes renumbered by sorted
 //!   `NodeId` rank; externals by first appearance), including the *given*
 //!   working-set order, per-node opcodes, and full pred/succ edge lists in
@@ -120,7 +118,7 @@ const NUM_SHARDS: usize = 16;
 /// value layout changes: [`Memo::load`] rejects (discards) any snapshot
 /// whose version differs, because keys from an older encoding could alias
 /// current ones and rehydrate stale results.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Sentinel for "no LRU neighbour".
 const NIL: usize = usize::MAX;
@@ -544,7 +542,6 @@ pub(crate) fn canonicalise(
         u64::from(s.enable_router),
         s.max_route_hops as u64,
         s.issue_cap.map_or(u64::MAX, u64::from),
-        u64::from(s.dominance && std::env::var_os("HCA_NO_DOMINANCE").is_none()),
         config.issue_cap_slack.map_or(u64::MAX, u64::from),
         config.validation as u64,
         // Portfolio context: the exact backend can change a cached subtree
@@ -861,13 +858,16 @@ mod tests {
         let dir = std::env::temp_dir().join("hca_memo_stale_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stale.json");
-        let body = format!("{{\"version\":{},\"entries\":[]}}", SNAPSHOT_VERSION + 1);
-        std::fs::write(&path, body).unwrap();
-        let err = match Memo::load(&path, Memo::DEFAULT_BUDGET) {
-            Err(e) => e,
-            Ok(_) => panic!("stale snapshot accepted"),
-        };
-        assert!(err.contains("version"), "unexpected error: {err}");
+        // Older snapshots (an earlier key encoding) and newer ones alike.
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let body = format!("{{\"version\":{version},\"entries\":[]}}");
+            std::fs::write(&path, body).unwrap();
+            let err = match Memo::load(&path, Memo::DEFAULT_BUDGET) {
+                Err(e) => e,
+                Ok(_) => panic!("snapshot version {version} accepted"),
+            };
+            assert!(err.contains("version"), "unexpected error: {err}");
+        }
         // Malformed JSON is discarded the same way.
         std::fs::write(&path, "not json").unwrap();
         assert!(Memo::load(&path, Memo::DEFAULT_BUDGET).is_err());

@@ -28,7 +28,7 @@ pub mod kind {
     /// Driver: memo-cache decision for a sub-problem (`why` = `hit`/`miss`).
     pub const MEMO: &str = "memo";
     /// Engine: one placement step of one SEE tier (`step`, `node`, `beam`,
-    /// rejection/dedup/dominance deltas, top-`k` `cands`, `ns`).
+    /// rejection deltas, top-`k` `cands`, `ns`).
     pub const STEP: &str = "step";
     /// Driver: outcome of one escalation tier (`ok`, `est_mii`, `cost`,
     /// `copies`, route counters; `why` carries the error on failure).
@@ -52,7 +52,8 @@ pub const EXACT_TIER: u32 = 98;
 
 /// One line of the search trace. A flat record: `kind` says which fields
 /// are meaningful (see [`kind`]); the rest default to zero/empty so the
-/// schema can grow without breaking old traces.
+/// schema can grow without breaking old traces, and fields an older schema
+/// wrote but this one dropped are ignored on read.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Record kind — one of the [`kind`] constants.
@@ -88,12 +89,6 @@ pub struct TraceRecord {
     /// Candidates rejected by branch-factor truncation in this step.
     #[serde(default)]
     pub rej_branch: u64,
-    /// Duplicate frontier states folded by content dedup in this step.
-    #[serde(default)]
-    pub deduped: u64,
-    /// Frontier states removed by dominance pruning in this step.
-    #[serde(default)]
-    pub dominated: u64,
     /// True when this step went through the Route Allocator rescue path.
     #[serde(default)]
     pub rescued: bool,

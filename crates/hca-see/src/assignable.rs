@@ -19,7 +19,6 @@
 //! per-candidate arithmetic (port counting, issue pressure) for the
 //! candidates that survive the mask.
 
-use crate::filters::{CandList, LaneStats};
 use crate::state::{PartialState, SeeContext};
 use hca_ddg::NodeId;
 use hca_pg::PgNodeId;
@@ -59,16 +58,6 @@ struct ProdFast {
     /// Distinct producer clusters with their multiplicities, in first-seen
     /// (DDG edge) order.
     distinct: SmallVec<[(PgNodeId, u32); 4]>,
-    /// One entry per producer edge, in DDG edge order: the index of its
-    /// cluster in `distinct` (= its arc group), the travelling value and
-    /// the recurrence flag — the batched gather's per-candidate
-    /// created/position probes read these.
-    edges: SmallVec<[(u8, NodeId, bool); 4]>,
-    /// Critical-path term of each producer edge's copy
-    /// (`(lat / (1 + slack)).min(lat)`), in edge order — the same terms the
-    /// `critical` fold consumed, kept for the batched flush's per-lane
-    /// masked fold.
-    crit_terms: SmallVec<[f64; 4]>,
     /// Largest multiplicity — the arc position count (`mii_arc`) a fresh
     /// arc would reach.
     max_group: u32,
@@ -232,8 +221,6 @@ fn prod_fast(
 ) -> Option<ProdFast> {
     let mut f = ProdFast {
         distinct: SmallVec::new(),
-        edges: SmallVec::new(),
-        crit_terms: SmallVec::new(),
         max_group: 0,
         copies: producers.len() as u32,
         recurrence: 0,
@@ -247,24 +234,15 @@ fn prod_fast(
         {
             return None;
         }
-        let group = match f.distinct.iter().position(|&(cp, _)| cp == p.cluster) {
-            Some(g) => {
-                f.distinct[g].1 += 1;
-                g
-            }
-            None => {
-                f.distinct.push((p.cluster, 1));
-                f.distinct.len() - 1
-            }
-        };
-        f.edges.push((group as u8, p.value, p.recurrence));
+        match f.distinct.iter_mut().find(|(cp, _)| *cp == p.cluster) {
+            Some((_, g)) => *g += 1,
+            None => f.distinct.push((p.cluster, 1)),
+        }
         if p.recurrence {
             f.recurrence += 1;
         }
         let room = f64::from(p.slack);
-        let term = (lat / (1.0 + room)).min(lat);
-        f.crit_terms.push(term);
-        f.critical += term;
+        f.critical += (lat / (1.0 + room)).min(lat);
     }
     f.max_group = f.distinct.iter().map(|&(_, g)| g).max().unwrap_or(0);
     Some(f)
@@ -631,590 +609,6 @@ pub fn score_if_assignable(
     ))
 }
 
-/// Lane width of the batched scorer: one candidate per lane, `[f64; LANES]`
-/// accumulators. Four `f64` lanes fill one AVX2 register (or two NEON
-/// registers), the widths stable Rust autovectorises reliably.
-pub const LANES: usize = 4;
-
-/// Candidate-count cutoff below which an expansion skips the batched
-/// kernel entirely: with this few survivors of the static mask, the
-/// per-node batch setup costs more than the lane fold saves. The built-in
-/// default — override per run via [`crate::SeeConfig::scalar_cutoff`] or
-/// the `HCA_SCALAR_CUTOFF` environment variable.
-pub const SCALAR_CUTOFF: usize = 3;
-
-/// Consumer-side terms of one `(state, node)` expansion, computed **once**
-/// and shared by every candidate of the batch. The value each term would
-/// add is candidate-independent — a consumer's cluster `cs` is charged at
-/// most once per trial, always from the state's load (`cs != c` and
-/// duplicate `(c, cs, n)` triples are trial-dups) — only *whether* a given
-/// candidate folds the term in varies (the per-lane `created` bit).
-struct ConsTerms {
-    /// Utilisation increment of charging consumer `j`'s cluster
-    /// (`nu² − ou²` over the state's issue load), `0.0` when the cluster
-    /// has no issue slots (the scalar charge skips the float too).
-    util: SmallVec<[f64; 8]>,
-    /// Critical-path increment of consumer `j`'s copy
-    /// (`(lat / (1 + slack)).min(lat)`).
-    crit: SmallVec<[f64; 8]>,
-    /// Issue-MII candidate of charging consumer `j`'s cluster
-    /// (`⌈(load + 1) / issue⌉`), `0` when the cluster has no issue slots
-    /// (`max` with 0 is the identity the scalar skip produces).
-    mii: SmallVec<[u32; 8]>,
-    /// Bit `j` set ⇔ consumer `j` is the first in edge order on its
-    /// cluster. Later duplicates are trial-dups for *every* candidate —
-    /// the predicate never involves `c` — so it hoists out of the gather.
-    first: u32,
-}
-
-impl ConsTerms {
-    fn build(ctx: &SeeContext<'_>, st: &PartialState, view: &NodeView) -> Self {
-        let lat = f64::from(ctx.constraints.copy_latency);
-        let mut t = ConsTerms {
-            util: SmallVec::new(),
-            crit: SmallVec::new(),
-            mii: SmallVec::new(),
-            first: 0,
-        };
-        for (j, s) in view.consumers.iter().enumerate() {
-            let rt = ctx.pg.node(s.cluster).rt;
-            let (util, mii) = if rt.issue > 0 {
-                let old = st.loads.issue(s.cluster.index());
-                let denom = f64::from(rt.issue);
-                let ou = f64::from(old) / denom;
-                let nu = f64::from(old + 1) / denom;
-                (nu * nu - ou * ou, (old + 1).div_ceil(rt.issue))
-            } else {
-                (0.0, 0)
-            };
-            let room = f64::from(s.slack);
-            t.util.push(util);
-            t.crit.push((lat / (1.0 + room)).min(lat));
-            t.mii.push(mii);
-            if !view.consumers[..j].iter().any(|q| q.cluster == s.cluster) {
-                t.first |= 1 << j;
-            }
-        }
-        t
-    }
-}
-
-/// Struct-of-arrays buffers of one lane batch: everything the float fold
-/// reads, written in place by the gather pass as each candidate clears the
-/// integer screens. Fixed-width columns keep the flush loops trivially
-/// vectorisable and spare the per-candidate struct moves an AoS pending
-/// list would pay.
-struct LaneBuf {
-    /// Gathered candidates so far (`0..=LANES`).
-    len: usize,
-    c: [PgNodeId; LANES],
-    /// `st.loads.issue(c)` as `f64` (`u32 → f64` is exact).
-    issue0: [f64; LANES],
-    /// `f64::from(rt.issue)`; `1.0` dummy when the lane's charge floats are
-    /// inactive, so the lane arithmetic stays finite.
-    denom: [f64; LANES],
-    /// `1.0` when `rt.issue > 0` (charge floats active), else `0.0`. Masked
-    /// clusters always have issue slots, so this is defensive.
-    active: [f64; LANES],
-    /// Producer copies this candidate creates (operand values absent from
-    /// their arc into the lane's cluster). Bounds the lane's charge fold:
-    /// charges `0..=pcopies` are live, later ones masked out.
-    pcopies: [u32; LANES],
-    /// Bit `j` set ⇔ producer edge `j`'s copy is created by this candidate
-    /// (the value is absent from its arc and the producer is off-cluster).
-    pcreated: [u32; LANES],
-    mii_issue: [u32; LANES],
-    mii_arc: [u32; LANES],
-    total_copies: [u32; LANES],
-    recurrence_copies: [u32; LANES],
-    /// Bit `j` set ⇔ consumer `j`'s copy is created by this candidate.
-    created: [u32; LANES],
-}
-
-impl LaneBuf {
-    fn new() -> Self {
-        LaneBuf {
-            len: 0,
-            c: [PgNodeId(0); LANES],
-            issue0: [0.0; LANES],
-            denom: [1.0; LANES],
-            active: [0.0; LANES],
-            pcopies: [0; LANES],
-            pcreated: [0; LANES],
-            mii_issue: [0; LANES],
-            mii_arc: [0; LANES],
-            total_copies: [0; LANES],
-            recurrence_copies: [0; LANES],
-            created: [0; LANES],
-        }
-    }
-}
-
-/// Outcome of the gather pass for one candidate.
-enum Gathered {
-    /// All integer screens passed; the candidate occupies the next lane.
-    Lane,
-    /// An integer screen failed — `score_if_assignable` would return `None`.
-    /// Rejected before the candidate occupies a lane.
-    Rejected,
-}
-
-/// Candidate-independent context of one `(state, node)` batch, hoisted out
-/// of the per-candidate gather: the producer aggregate, the consumer
-/// terms, the output-wire list, the state's cost inputs, the dense arc-id
-/// row of every distinct producer cluster, and the node's resource class.
-struct NodeBatch<'a> {
-    f: &'a ProdFast,
-    /// Built lazily by the first gather that clears the producer screen:
-    /// mid-search, many nodes bail every candidate at the port screens, and
-    /// the consumer divisions would be pure waste there.
-    cons: Option<ConsTerms>,
-    outs: &'a [PgNodeId],
-    inputs: crate::cost::CostInputs,
-    /// `ids_row(cp)` of each entry of `f.distinct`, sliced once per node.
-    prod_rows: SmallVec<[&'a [u32]; 4]>,
-    /// `pcreated` of a clean candidate: every producer edge creates.
-    full_pmask: u32,
-    class: hca_ddg::ResourceClass,
-    max_in: usize,
-    n: NodeId,
-}
-
-impl NodeBatch<'_> {
-    /// Gather pass of the batched scorer: replay every *integer* decision
-    /// of [`score_if_assignable`] for candidate `c` — the port/budget
-    /// screens (whose reject set must match [`assignable_dynamic`] exactly)
-    /// and the order-insensitive integer aggregates (copy counts, arc
-    /// positions, issue-MII maxima, the per-producer and per-consumer
-    /// `created` predicates) — writing the accepted candidate into `buf`'s
-    /// next lane. The only work left for the lane fold is the
-    /// order-sensitive float arithmetic.
-    fn gather(
-        &mut self,
-        ctx: &SeeContext<'_>,
-        st: &PartialState,
-        view: &NodeView,
-        c: PgNodeId,
-        buf: &mut LaneBuf,
-    ) -> Gathered {
-        let i = c.index();
-        let rt = ctx.pg.node(c).rt;
-
-        // (ii) operand port screen over the distinct producer clusters,
-        // exactly the reference loop's `new_in_c` dedup: a cluster counts
-        // as a new in-neighbour iff its arc into `c` is empty and the edge
-        // is structurally absent. A producer arc into `c` is always
-        // potential unless the producer sits *on* `c` (the mask ORs the
-        // self bit), so the by-id probes are gated on `cp != c`.
-        let mut new_in = 0usize;
-        let mut clean = true;
-        // Per group: `(arc id, state arc length + created copies so far)`,
-        // `u32::MAX` id marking a producer sitting on `c` itself.
-        let mut arcs: SmallVec<[(u32, u32); 4]> = SmallVec::new();
-        for (&(cp, _), row_p) in self.f.distinct.iter().zip(&self.prod_rows) {
-            if cp == c {
-                clean = false;
-                arcs.push((u32::MAX, 0)); // operand stays local: no copy, no port
-                continue;
-            }
-            let id = row_p[i];
-            debug_assert_ne!(id, u32::MAX, "masked candidate without potential arc");
-            let len = st.copies.len_by_id(id) as u32;
-            clean &= len == 0;
-            arcs.push((id, len));
-            if len == 0 && !st.in_neighbors.contains(i, cp) {
-                new_in += 1;
-            }
-        }
-        if st.in_neighbors.len(i) + new_in > self.max_in {
-            return Gathered::Rejected;
-        }
-        // Per-edge created probes: an operand induces a fresh copy iff its
-        // producer is off-cluster and its value is absent from the arc (the
-        // trial's `add_copy` against the state — with a [`ProdFast`] view
-        // no two producer edges share an `(arc, value)` pair, so state
-        // probes and trial dedup coincide). Positions replay `ArcVals`
-        // order: the state's length plus the created copies the candidate
-        // already put on that arc. *Clean* candidates — every producer
-        // off-cluster, every arc empty — skip the probes: all edges create,
-        // so the per-edge aggregates collapse to the [`ProdFast`] totals.
-        let mut pcopies = self.f.copies;
-        let mut pcreated = self.full_pmask;
-        let mut precurrence = self.f.recurrence;
-        let mut mii_arc = self.inputs.mii_arc.max(self.f.max_group);
-        if !clean {
-            pcopies = 0;
-            pcreated = 0;
-            precurrence = 0;
-            mii_arc = self.inputs.mii_arc;
-            for (j, &(g, v, rec)) in self.f.edges.iter().enumerate() {
-                let (id, pos) = &mut arcs[g as usize];
-                if *id == u32::MAX {
-                    continue; // producer on `c` itself
-                }
-                if !st.copies.contains_by_id(*id, v) {
-                    pcreated |= 1 << j;
-                    pcopies += 1;
-                    *pos += 1;
-                    mii_arc = mii_arc.max(*pos);
-                    if rec {
-                        precurrence += 1;
-                    }
-                }
-            }
-        }
-        // (vi) issue-pressure ceiling (`new_values_to_c` = the created
-        // producer copies).
-        let issue0 = st.loads.issue(i);
-        if let Some(cap) = ctx.issue_cap {
-            let budget = cap.saturating_mul(rt.issue);
-            if issue0 + 1 + pcopies > budget {
-                return Gathered::Rejected;
-            }
-        }
-        // Issue-MII from the place charge + the operand charges on `c`: the
-        // per-charge `⌈new / issue⌉` maxima are monotone in `new`, so only
-        // the final load matters.
-        let mut mii_issue = self.inputs.mii_issue;
-        if rt.issue > 0 {
-            mii_issue = mii_issue.max((issue0 + 1 + pcopies).div_ceil(rt.issue));
-        }
-        match self.class {
-            hca_ddg::ResourceClass::Alu => {
-                if rt.alu > 0 {
-                    mii_issue = mii_issue.max((st.loads.alu(i) + 1).div_ceil(rt.alu));
-                }
-            }
-            hca_ddg::ResourceClass::AddrGen => {
-                if rt.addr_gen > 0 {
-                    mii_issue = mii_issue.max((st.loads.ag(i) + 1).div_ceil(rt.addr_gen));
-                } else {
-                    mii_issue = u32::MAX; // AG work on an AG-less cluster
-                }
-            }
-            hca_ddg::ResourceClass::Receive => {}
-        }
-
-        // (iii) result ports + the consumer copies' integer bookkeeping.
-        let cons = self
-            .cons
-            .get_or_insert_with(|| ConsTerms::build(ctx, st, view));
-        let row = ctx.statics.arc_index().ids_row(c);
-        let track_outs = ctx.constraints.max_out_neighbors.is_some();
-        let mut created = 0u32;
-        let mut total_copies = self.inputs.total_copies + pcopies;
-        let mut recurrence_copies = self.inputs.recurrence_copies + precurrence;
-        let mut new_out: SmallVec<[PgNodeId; 4]> = SmallVec::new();
-        for (j, s) in view.consumers.iter().enumerate() {
-            let cs = s.cluster;
-            if cs == c {
-                continue;
-            }
-            if !st.in_neighbors.contains(cs.index(), c) {
-                if st.in_neighbors.len(cs.index()) + 1 > self.max_in {
-                    return Gathered::Rejected;
-                }
-                if track_outs && !new_out.contains(&cs) {
-                    new_out.push(cs);
-                }
-            }
-            // `add_copy` semantics: a no-op when the state already carries
-            // the value, a trial-dup when an earlier consumer shares the
-            // cluster (same state-probe outcome, precomputed in
-            // `cons.first`), a fresh copy otherwise.
-            let id = row[cs.index()];
-            debug_assert_ne!(id, u32::MAX, "masked candidate without potential arc");
-            if cons.first & (1 << j) != 0 && !st.copies.contains_by_id(id, self.n) {
-                created |= 1 << j;
-                mii_arc = mii_arc.max(st.copies.len_by_id(id) as u32 + 1);
-                total_copies += 1;
-                mii_issue = mii_issue.max(cons.mii[j]);
-                if s.recurrence {
-                    recurrence_copies += 1;
-                }
-            }
-        }
-        // (iv) out-neighbour budget.
-        if let Some(limit) = ctx.constraints.max_out_neighbors {
-            let outs_cnt = st.out_neighbors.len(i)
-                + new_out
-                    .iter()
-                    .filter(|&&d| !st.out_neighbors.contains(i, d))
-                    .count();
-            if outs_cnt > limit as usize {
-                return Gathered::Rejected;
-            }
-        }
-        // Output wires: integer-only copies (no cluster charge, no critical
-        // term). Arcs to special nodes may be off-index, so the generic
-        // probes stay; a wire listing `n` twice dedups like the trial would.
-        for (oi, &o) in self.outs.iter().enumerate() {
-            if st.copies.contains(c, o, self.n) || self.outs[..oi].contains(&o) {
-                continue;
-            }
-            mii_arc = mii_arc.max(st.copies.len(c, o) as u32 + 1);
-            total_copies += 1;
-        }
-        let l = buf.len;
-        buf.c[l] = c;
-        buf.issue0[l] = f64::from(issue0);
-        buf.denom[l] = if rt.issue > 0 {
-            f64::from(rt.issue)
-        } else {
-            1.0
-        };
-        buf.active[l] = if rt.issue > 0 { 1.0 } else { 0.0 };
-        buf.pcopies[l] = pcopies;
-        buf.pcreated[l] = pcreated;
-        buf.mii_issue[l] = mii_issue;
-        buf.mii_arc[l] = mii_arc;
-        buf.total_copies[l] = total_copies;
-        buf.recurrence_copies[l] = recurrence_copies;
-        buf.created[l] = created;
-        buf.len = l + 1;
-        Gathered::Lane
-    }
-
-    /// Score the first `W` gathered lanes of `buf` — the vectorisable
-    /// float fold. One *lane per candidate*, so each lane folds its
-    /// candidate's float terms in exactly the scalar trial's order and the
-    /// result is bit-identical to [`score_if_assignable`]:
-    ///
-    /// * the utilisation accumulator receives the `1 + pcopies` charges on
-    ///   the candidate cluster (per-lane operands and per-lane charge
-    ///   counts — lanes past their own `pcopies` mask the term to `+0.0`),
-    ///   then the consumer terms in edge order (uniform values, per-lane
-    ///   `created` masks);
-    /// * the critical accumulator starts from the state's penalty and
-    ///   receives the producer terms in edge order (per-lane `pcreated`
-    ///   masks), then the consumer terms in the same edge order;
-    /// * the scalar trial interleaves the two accumulators but never mixes
-    ///   them, so folding each accumulator contiguously preserves its
-    ///   per-candidate operation order.
-    ///
-    /// Masked adds are bit-safe here: every term is finite and `≥ 0`, every
-    /// accumulator stays `≥ +0.0`, so `acc + t·1.0 ≡ acc + t` and
-    /// `acc + t·0.0 ≡ acc + (+0.0) ≡ acc` bitwise.
-    ///
-    /// Lanes never interact, so monomorphising the fold at sub-`LANES`
-    /// widths (the partial-batch remainder) reads the same buffer columns
-    /// and produces the same bits per lane — without paying for lanes that
-    /// hold no candidate.
-    fn flush<const W: usize>(&self, ctx: &SeeContext<'_>, buf: &LaneBuf) -> [f64; W] {
-        debug_assert!(W >= 1 && W <= LANES && buf.len >= W);
-        let mut util = [self.inputs.util_sq_sum; W];
-        // `1 + pcopies` charges on each lane's candidate cluster: charge `k`
-        // moves the load from `issue0 + k` to `issue0 + k + 1` (exact f64
-        // integers), each lane replaying the scalar `nu² − ou²` sequence —
-        // up to its own `pcopies`; lanes with fewer copies mask the later
-        // terms to `+0.0`. Charge `k`'s `ou` equals charge `k−1`'s `nu` —
-        // the same division of the same exact-integer numerator — so
-        // carrying it over halves the divisions without moving a bit (dead
-        // lanes advance `ou` harmlessly: their terms are masked out).
-        let max_pc = buf.pcopies[..W].iter().copied().max().unwrap_or(0);
-        let mut ou: [f64; W] = std::array::from_fn(|l| buf.issue0[l] / buf.denom[l]);
-        for k in 0..=max_pc {
-            let kf = f64::from(k);
-            for l in 0..W {
-                let nu = (buf.issue0[l] + kf + 1.0) / buf.denom[l];
-                let m = f64::from(u8::from(k <= buf.pcopies[l]));
-                util[l] += (nu * nu - ou[l] * ou[l]) * (buf.active[l] * m);
-                ou[l] = nu;
-            }
-        }
-        let mut crit = [self.inputs.critical_penalty; W];
-        for (j, &tc) in self.f.crit_terms.iter().enumerate() {
-            for (l, cl) in crit.iter_mut().enumerate() {
-                let m = f64::from((buf.pcreated[l] >> j) & 1);
-                *cl += tc * m;
-            }
-        }
-        let cons = self.cons.as_ref().expect("flush only runs after a gather");
-        for (j, (&tu, &tc)) in cons.util.iter().zip(&cons.crit).enumerate() {
-            for l in 0..W {
-                let m = f64::from((buf.created[l] >> j) & 1);
-                util[l] += tu * m;
-                crit[l] += tc * m;
-            }
-        }
-        let parts: [crate::cost::CostInputs; W] =
-            std::array::from_fn(|l| crate::cost::CostInputs {
-                total_copies: buf.total_copies[l],
-                recurrence_copies: buf.recurrence_copies[l],
-                critical_penalty: crit[l],
-                routed_hops: self.inputs.routed_hops,
-                mii_issue: buf.mii_issue[l],
-                mii_arc: buf.mii_arc[l],
-                util_sq_sum: util[l],
-                util_clusters: self.inputs.util_clusters,
-            });
-        crate::cost::objective_from_lanes(ctx, &parts)
-    }
-
-    /// [`flush`](NodeBatch::flush) at a width chosen at runtime: dispatch
-    /// to the monomorphised fold of that width. Each lane's bits are
-    /// width-independent, so any width yields the same per-candidate
-    /// scores.
-    fn flush_dyn(&self, ctx: &SeeContext<'_>, buf: &LaneBuf, w: usize) -> SmallVec<[f64; LANES]> {
-        match w {
-            1 => self.flush::<1>(ctx, buf).into_iter().collect(),
-            2 => self.flush::<2>(ctx, buf).into_iter().collect(),
-            3 => self.flush::<3>(ctx, buf).into_iter().collect(),
-            4 => self.flush::<4>(ctx, buf).into_iter().collect(),
-            _ => unreachable!("widen this match alongside LANES"),
-        }
-    }
-}
-
-/// Batched sibling of [`score_if_assignable`]: score **every** surviving
-/// candidate of `(st, n)` into `cands`, `LANES` at a time.
-///
-/// The gather pass walks the candidates in mask order, replays all integer
-/// screens and aggregates scalarly (rejecting candidates before they occupy
-/// a lane), and packs the accepted ones into contiguous lane buffers; each
-/// full batch is scored by one pass of fixed-width `[f64; LANES]` folds.
-/// Occupied producer arcs and producers sitting on the candidate are
-/// expressed *inside* the lane shape (per-lane copy counts and created
-/// masks); only expansions the shape cannot express at all — no
-/// [`ProdFast`] aggregate on the view, more than 32 producer or consumer
-/// edges, or too few candidates to amortise the setup — take the scalar
-/// reference path (counted as `scalar_tail`). A sub-`LANES` remainder
-/// flushes as one partial batch through the same fold monomorphised at its
-/// real width (lanes never interact, so each lane's bits are
-/// width-independent).
-///
-/// Every score pushed is **bit-identical** to the scalar
-/// [`score_if_assignable`] (debug builds assert it per candidate) and the
-/// accept/reject set matches [`assignable_dynamic`]; only the order of
-/// `cands` may differ from the scalar loop (lane batches flush after scalar
-/// fallbacks), which the candidate filter's total `(cost, cluster)` sort
-/// erases.
-///
-/// [`ProdFast`]: NodeView
-pub fn score_candidates_batched(
-    ctx: &SeeContext<'_>,
-    st: &PartialState,
-    view: &NodeView,
-    n: NodeId,
-    cands: &mut CandList,
-    stats: &mut LaneStats,
-) {
-    score_candidates_batched_tuned(ctx, st, view, n, cands, stats, SCALAR_CUTOFF, LANES);
-}
-
-/// [`score_candidates_batched`] with the batch-entry cutoff and flush width
-/// chosen at runtime. Both knobs are **result-transparent** — every lane
-/// score is bit-identical to the scalar trial regardless of where batches
-/// are cut — so they may vary freely between runs (ROADMAP item 4's
-/// re-measurement) without invalidating memoised results. `lane_width` is
-/// clamped to `1..=LANES` ([`LANES`] is the buffer's compile-time
-/// capacity).
-#[allow(clippy::too_many_arguments)]
-pub fn score_candidates_batched_tuned(
-    ctx: &SeeContext<'_>,
-    st: &PartialState,
-    view: &NodeView,
-    n: NodeId,
-    cands: &mut CandList,
-    stats: &mut LaneStats,
-    scalar_cutoff: usize,
-    lane_width: usize,
-) {
-    let lane_width = lane_width.clamp(1, LANES);
-    // Expansions whose static mask leaves almost nothing to score cannot
-    // amortise the batch setup (per-node hoists + gather bookkeeping), so
-    // they take the scalar path wholesale. One popcount over the mask
-    // words is far cheaper than the setup it skips.
-    let cand_count: u32 = view.mask.iter().map(|w| w.count_ones()).sum();
-    let fast = view.fast.as_ref().filter(|_| {
-        view.consumers.len() <= 32
-            && view.producers.len() <= 32
-            && cand_count as usize > scalar_cutoff
-    });
-    let Some(f) = fast else {
-        // No uniform producer shape (or a `created`/`pcreated` mask would
-        // overflow): the whole candidate list takes the scalar reference
-        // path.
-        for c in view.candidates() {
-            stats.scalar_tail += 1;
-            if let Some(cost) = score_if_assignable(ctx, st, view, n, c) {
-                cands.push((c, cost));
-            }
-        }
-        return;
-    };
-    let arc = ctx.statics.arc_index();
-    let mut batch = NodeBatch {
-        f,
-        cons: None,
-        outs: ctx.statics.outputs_carrying(n),
-        inputs: st.cost_inputs(),
-        prod_rows: f.distinct.iter().map(|&(cp, _)| arc.ids_row(cp)).collect(),
-        full_pmask: 1u32
-            .checked_shl(f.edges.len() as u32)
-            .map_or(u32::MAX, |v| v - 1),
-        class: ctx.ddg.node(n).op.resource_class(),
-        max_in: ctx.constraints.max_in_neighbors as usize,
-        n,
-    };
-    let mut buf = LaneBuf::new();
-    for c in view.candidates() {
-        match batch.gather(ctx, st, view, c, &mut buf) {
-            Gathered::Rejected => {
-                debug_assert!(
-                    !assignable_dynamic(ctx, st, view, n, c),
-                    "gather rejected a candidate assignable_dynamic accepts: {n:?} @ {c:?}"
-                );
-            }
-            Gathered::Lane => {
-                if buf.len == lane_width {
-                    let costs = batch.flush_dyn(ctx, &buf, lane_width);
-                    for (l, &cost) in costs.iter().enumerate() {
-                        #[cfg(debug_assertions)]
-                        {
-                            let scalar = score_if_assignable(ctx, st, view, n, buf.c[l]);
-                            debug_assert_eq!(
-                                Some(cost.to_bits()),
-                                scalar.map(f64::to_bits),
-                                "lane score diverges from scalar for {n:?} @ {:?}",
-                                buf.c[l]
-                            );
-                        }
-                        cands.push((buf.c[l], cost));
-                    }
-                    stats.lanes_scored += lane_width;
-                    stats.lane_batches += 1;
-                    buf.len = 0;
-                }
-            }
-        }
-    }
-    // Partial-batch flush: fewer than `lane_width` gathered candidates
-    // left. Monomorphising the fold at the remainder's real width scores
-    // them in one pass without rescoring scalarly (which would double-pay
-    // the gather) and without paying for empty lanes.
-    if buf.len > 0 {
-        let k = buf.len;
-        debug_assert!(k < lane_width, "full batches flush inside the gather loop");
-        let costs = batch.flush_dyn(ctx, &buf, k);
-        for (l, &cost) in costs.iter().enumerate() {
-            #[cfg(debug_assertions)]
-            {
-                let scalar = score_if_assignable(ctx, st, view, n, buf.c[l]);
-                debug_assert_eq!(
-                    Some(cost.to_bits()),
-                    scalar.map(f64::to_bits),
-                    "lane score diverges from scalar for {n:?} @ {:?}",
-                    buf.c[l]
-                );
-            }
-            cands.push((buf.c[l], cost));
-        }
-        stats.lanes_scored += k;
-        stats.lane_batches += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1478,150 +872,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The batched lane kernel against the scalar reference, over the same
-    /// fuzzed DDG/state space as the scorer fuzz above: for every (state,
-    /// node) pair the batched kernel must accept exactly the scalar set and
-    /// every score must be bit-identical. Also checks the [`LaneStats`]
-    /// ledger: full batches account for `LANES` candidates each and every
-    /// accepted candidate was counted exactly once.
-    #[test]
-    fn lane_batched_scores_match_scalar_on_fuzzed_states() {
-        let seeds = if cfg!(miri) { 8 } else { 120u64 };
-        let mut total = LaneStats::default();
-        for seed in 0..seeds {
-            let mut rng = Lcg(0xBA7C_4000 ^ (seed.wrapping_mul(0x9E37_79B9)));
-            let mut b = DdgBuilder::default();
-            let n_nodes = 6 + (rng.next() % 18) as usize;
-            let ids: Vec<_> = (0..n_nodes)
-                .map(|_| {
-                    b.node(match rng.next() % 4 {
-                        0 => Opcode::Load,
-                        1 => Opcode::Mul,
-                        _ => Opcode::Add,
-                    })
-                })
-                .collect();
-            for j in 1..n_nodes {
-                for _ in 0..=(rng.next() % 2) {
-                    b.flow(ids[(rng.next() as usize) % j], ids[j]);
-                }
-                if rng.next().is_multiple_of(8) {
-                    b.carried(ids[j], ids[(rng.next() as usize) % j], 1);
-                }
-            }
-            let ddg = b.finish();
-            let an = DdgAnalysis::compute(&ddg).unwrap();
-            // 5–9 clusters: candidate lists regularly exceed LANES, so full
-            // batches AND scalar remainders both occur.
-            let clusters = 5 + (rng.next() % 5) as usize;
-            let pg = Pg::complete(clusters, ResourceTable::of_cns(4));
-            let mut ctx = mk_ctx(&ddg, &an, &pg, 2 + (rng.next() % 3) as u32);
-            if rng.next().is_multiple_of(2) {
-                ctx.issue_cap = Some(2 + (rng.next() % 3) as u32);
-            }
-            let order: Vec<_> = ddg.node_ids().collect();
-            let mut st = PartialState::initial(&ctx, &order);
-            for &n in &order {
-                if rng.next().is_multiple_of(4) {
-                    continue;
-                }
-                let view = node_view(&ctx, &st, n);
-                let mut scalar: Vec<(PgNodeId, u64)> = Vec::new();
-                for c in view.candidates() {
-                    if let Some(cost) = score_if_assignable(&ctx, &st, &view, n, c) {
-                        scalar.push((c, cost.to_bits()));
-                    }
-                }
-                let mut cands = CandList::new();
-                let mut stats = LaneStats::default();
-                score_candidates_batched(&ctx, &st, &view, n, &mut cands, &mut stats);
-                let mut batched: Vec<(PgNodeId, u64)> =
-                    cands.iter().map(|&(c, cost)| (c, cost.to_bits())).collect();
-                scalar.sort();
-                batched.sort();
-                assert_eq!(
-                    scalar, batched,
-                    "seed {seed}: batched kernel diverges for {n:?}"
-                );
-                // Each batch scores 1..=LANES real lanes (partial batches
-                // flush at their real width).
-                assert!(
-                    stats.lanes_scored <= stats.lane_batches * LANES
-                        && stats.lanes_scored >= stats.lane_batches,
-                    "seed {seed}: batch ledger broken for {n:?}"
-                );
-                // Every accepted candidate came through exactly one path;
-                // the scalar tail additionally counts scalar-path rejects.
-                assert!(
-                    stats.lanes_scored + stats.scalar_tail >= cands.len(),
-                    "seed {seed}: stats undercount candidates for {n:?}"
-                );
-                total.absorb(stats);
-                if let Some(&(c, _)) = scalar.get((rng.next() as usize) % scalar.len().max(1)) {
-                    st.apply_assign(&ctx, n, c);
-                }
-            }
-        }
-        // The sweep must exercise both the lane path and the scalar tail,
-        // otherwise the equivalence above proves nothing about batching.
-        assert!(total.lane_batches > 0, "no full lane batch ever flushed");
-        assert!(total.scalar_tail > 0, "no scalar-tail candidate ever seen");
-    }
-
-    /// Candidate counts not divisible by `LANES` leave a sub-batch remainder
-    /// that must flush as a width-monomorphised partial batch — and still
-    /// score every candidate bit-identically.
-    #[test]
-    fn lane_remainder_flushes_partial_batch() {
-        let mut b = DdgBuilder::default();
-        let n = b.node(Opcode::Add);
-        let ddg = b.finish();
-        let an = DdgAnalysis::compute(&ddg).unwrap();
-        // 6 clusters, no producers: all 6 candidates gather; one full batch
-        // of LANES=4 flushes plus a width-2 partial batch.
-        let pg = Pg::complete(6, ResourceTable::of_cns(4));
-        let ctx = mk_ctx(&ddg, &an, &pg, 4);
-        let st = PartialState::initial(&ctx, &[]);
-        let view = node_view(&ctx, &st, n);
-        let mut cands = CandList::new();
-        let mut stats = LaneStats::default();
-        score_candidates_batched(&ctx, &st, &view, n, &mut cands, &mut stats);
-        assert_eq!(cands.len(), 6);
-        assert_eq!(stats.lane_batches, 2);
-        assert_eq!(stats.lanes_scored, 6);
-        assert_eq!(stats.scalar_tail, 0);
-        for &(c, cost) in &cands {
-            let scalar = score_if_assignable(&ctx, &st, &view, n, c).unwrap();
-            assert_eq!(cost.to_bits(), scalar.to_bits(), "cluster {c:?}");
-        }
-    }
-
-    /// Views without a uniform producer shape (duplicate operand edges make
-    /// `ProdFast` bail) route the whole list through the scalar path.
-    #[test]
-    fn lane_gather_falls_back_without_fast_view() {
-        let mut b = DdgBuilder::default();
-        let p = b.node(Opcode::Add);
-        let n = b.node(Opcode::Add);
-        b.flow(p, n);
-        b.flow(p, n); // duplicate (value, cluster) pair: no ProdFast
-        let ddg = b.finish();
-        let an = DdgAnalysis::compute(&ddg).unwrap();
-        let pg = Pg::complete(6, ResourceTable::of_cns(4));
-        let ctx = mk_ctx(&ddg, &an, &pg, 4);
-        let mut st = PartialState::initial(&ctx, &[]);
-        st.apply_assign(&ctx, p, PgNodeId(0));
-        let view = node_view(&ctx, &st, n);
-        assert!(view.fast.is_none(), "fixture must defeat the fast path");
-        let mut cands = CandList::new();
-        let mut stats = LaneStats::default();
-        score_candidates_batched(&ctx, &st, &view, n, &mut cands, &mut stats);
-        assert_eq!(stats.lane_batches, 0);
-        assert_eq!(stats.lanes_scored, 0);
-        assert!(stats.scalar_tail >= cands.len());
-        assert!(!cands.is_empty());
     }
 
     #[test]

@@ -123,18 +123,6 @@ pub fn objective(ctx: &SeeContext<'_>, st: &PartialState) -> f64 {
     objective_from_parts(ctx, &st.cost_inputs())
 }
 
-/// [`objective_from_parts`] over a fixed-width lane block — one candidate
-/// per lane. Each lane runs the *same* scalar formula on its own inputs
-/// (same operations, same order), so every lane's result is bit-identical
-/// to the scalar call; the fixed trip count is what lets LLVM vectorise the
-/// independent lanes.
-pub(crate) fn objective_from_lanes<const N: usize>(
-    ctx: &SeeContext<'_>,
-    parts: &[CostInputs; N],
-) -> [f64; N] {
-    std::array::from_fn(|l| objective_from_parts(ctx, &parts[l]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

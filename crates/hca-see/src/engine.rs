@@ -29,26 +29,6 @@ pub struct SeeConfig {
     pub max_route_hops: usize,
     /// Optional per-issue-slot load ceiling (see [`SeeContext::issue_cap`]).
     pub issue_cap: Option<u32>,
-    /// Prune frontier states that are strictly dominated by a sibling
-    /// (identical assignment and arc structure, componentwise no-better
-    /// scores). Heuristic — disable via this flag or the `HCA_NO_DOMINANCE`
-    /// environment variable to compare outcomes.
-    pub dominance: bool,
-    /// Score candidates through the batched lane kernel
-    /// ([`crate::assignable::score_candidates_batched`]) instead of one
-    /// scalar trial per candidate. Output is bit-identical either way; the
-    /// flag (or the `HCA_NO_BATCH` environment variable) exists so a
-    /// suspected batching regression can be bisected in the field.
-    pub batched_scoring: bool,
-    /// Candidate-count cutoff below which an expansion skips the batched
-    /// kernel (`None` = built-in default). Result-transparent; overridable
-    /// per process via `HCA_SCALAR_CUTOFF` so ROADMAP item 4's
-    /// re-measurement needs no rebuild.
-    pub scalar_cutoff: Option<usize>,
-    /// Lane-batch flush width, clamped to `1..=LANES` (`None` = the full
-    /// [`crate::assignable::LANES`]). Result-transparent; overridable per
-    /// process via `HCA_LANES`.
-    pub lane_width: Option<usize>,
     /// Admissible MII floor shared by the portfolio driver
     /// ([`crate::bounds::mii_lower_bound`]). Purely observational inside
     /// the beam: when the winning state's MII reaches the floor with zero
@@ -69,10 +49,6 @@ impl Default for SeeConfig {
             enable_router: true,
             max_route_hops: 3,
             issue_cap: None,
-            dominance: true,
-            batched_scoring: true,
-            scalar_cutoff: None,
-            lane_width: None,
             mii_bound: None,
         }
     }
@@ -124,7 +100,7 @@ impl std::error::Error for SeeError {}
 
 /// Arena of retired [`PartialState`]s, recycled into survivor
 /// materialisation. Beam search retires states in bulk every step (beam
-/// truncation, dedup folds, dominance prunes, moved-from parents) and
+/// truncation, failed rescues, parents without surviving children) and
 /// immediately allocates near-identical ones; `take_clone_of` turns that
 /// churn into `clone_from` onto a retired state's buffers, so the steady
 /// state of the main loop performs no state-sized allocations at all.
@@ -151,13 +127,6 @@ impl StatePool {
         self.high_water = self.high_water.max(self.bytes);
         self.sizes.push(b);
         self.free.push(st);
-    }
-
-    /// Retire every state in `batch` (drained in place).
-    fn put_all(&mut self, batch: &mut Vec<PartialState>) {
-        for st in batch.drain(..) {
-            self.put(st);
-        }
     }
 
     /// A state bit-identical to `src`: recycled buffers when the arena has
@@ -232,11 +201,6 @@ pub struct SeeStats {
     /// Routing queries answered (or candidates rejected) from the static
     /// [`RouteTable`] without running a search.
     pub route_cache_hits: usize,
-    /// Duplicate frontier states folded by content dedup (each counts the
-    /// scoring + materialisation work avoided for one redundant state).
-    pub frontier_deduped: usize,
-    /// Frontier states removed by dominance pruning.
-    pub dominance_pruned: usize,
     /// Deep [`PartialState`] clones taken on *trial* paths (candidate
     /// scoring, rescue routing, forward planning). The journalled in-place
     /// trial machinery replaced every one of them, so this is structurally
@@ -250,18 +214,6 @@ pub struct SeeStats {
     /// High-water heap footprint of the state arena (retired `PartialState`
     /// buffers awaiting reuse by survivor materialisation).
     pub state_arena_bytes: usize,
-    /// Candidates scored through lane batches of the batched scoring
-    /// kernel. Zero when batching is off (`SeeConfig::batched_scoring` /
-    /// `HCA_NO_BATCH`).
-    pub lanes_scored: usize,
-    /// Lane batches flushed by the batched scoring kernel (each scores up
-    /// to [`crate::assignable::LANES`] candidates in one pass; sub-width
-    /// remainders flush as one partial batch at their real width).
-    pub lane_batches: usize,
-    /// Candidates scored by the scalar reference path while batching was
-    /// on: views the lane fold cannot express, plus expansions too small
-    /// to repay batch setup.
-    pub scalar_tail: usize,
     /// The winning state's MII matched the shared admissible floor
     /// ([`SeeConfig::mii_bound`]) with zero copies: the result is provably
     /// optimal and the portfolio driver may skip every remaining
@@ -381,10 +333,8 @@ impl<'a> See<'a> {
         // failed) run on this instance left behind.
         let _ = self.rt.take_counters();
 
-        // Arena of retired states, recycled into materialisation; `freed` is
-        // the reusable hand-off buffer the filter passes fill for it.
+        // Arena of retired states, recycled into materialisation.
         let mut pool = StatePool::default();
-        let mut freed: Vec<PartialState> = Vec::new();
 
         // Pass-through values are resolved *first*: routing an external value
         // to its forwarding cluster while every port is still free always
@@ -394,37 +344,6 @@ impl<'a> See<'a> {
         // already walled in by unrelated port usage.
         frontier = self.resolve_forwards(frontier, &mut pool)?;
         node_filter.apply(&mut frontier);
-
-        // The frontier is held *virtually* from here on: `distinct` owns one
-        // copy of each distinct state, `slots` maps beam positions onto it.
-        // All filtering boundaries, per-slot statistics and the final
-        // arg-min run over beam positions in their original order, so the
-        // search outcome is bit-identical to the materialised beam while
-        // duplicate states are scored and expanded once.
-        let mut distinct = frontier;
-        let mut slots: Vec<usize> = (0..distinct.len()).collect();
-        stats.frontier_deduped +=
-            crate::frontier::content_merge(&mut distinct, &mut slots, &mut freed);
-        pool.put_all(&mut freed);
-        // Read the escape hatches once per run: a mid-run environment change
-        // must not make one search internally inconsistent.
-        let dominance_on = self.config.dominance && std::env::var_os("HCA_NO_DOMINANCE").is_none();
-        let batched_on = self.config.batched_scoring && std::env::var_os("HCA_NO_BATCH").is_none();
-        // Lane-kernel tuning knobs (result-transparent): environment beats
-        // config beats built-in defaults; read once so a mid-run change
-        // cannot make one search internally inconsistent.
-        let env_usize = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        let scalar_cutoff = env_usize("HCA_SCALAR_CUTOFF")
-            .or(self.config.scalar_cutoff)
-            .unwrap_or(crate::assignable::SCALAR_CUTOFF);
-        let lane_width = env_usize("HCA_LANES")
-            .or(self.config.lane_width)
-            .unwrap_or(crate::assignable::LANES)
-            .clamp(1, crate::assignable::LANES);
         let trace_on = self.tracer.is_enabled();
 
         for (step_idx, &n) in (0u32..).zip(order.nodes()) {
@@ -437,21 +356,18 @@ impl<'a> See<'a> {
                     stats.states_pruned,
                     stats.cand_rejected_margin,
                     stats.cand_rejected_branch,
-                    stats.frontier_deduped,
-                    stats.dominance_pruned,
                 ))
             } else {
                 None
             };
             let mut top_cands: Vec<(u32, f64)> = Vec::new();
             let mut rescued_step = false;
-            // Score every (state, cluster) candidate *in place*: apply the
-            // assignment, read the objective, undo — no clone per trial.
-            // Distinct states are independent; each hca-par worker owns a
-            // contiguous chunk and results come back in input order, so the
-            // merge below is scheduling-independent.
-            let scored: Vec<(CandList, CandidatePruning, crate::filters::LaneStats)> =
-                hca_par::par_map_mut(&mut distinct, |st| {
+            // Score every (state, cluster) candidate without cloning the
+            // state. Frontier states are independent; each hca-par worker
+            // owns a contiguous chunk and results come back in input order,
+            // so the merge below is scheduling-independent.
+            let scored: Vec<(CandList, CandidatePruning)> =
+                hca_par::par_map_mut(&mut frontier, |st| {
                     // Operand/result placements are candidate-independent:
                     // read them once per state, not once per cluster probe.
                     // The view's bitmask AND already folded every static
@@ -462,78 +378,41 @@ impl<'a> See<'a> {
                     // port/budget conditions that depend on mutable state.
                     let view = crate::assignable::node_view(&self.ctx, st, n);
                     let mut cands: CandList = CandList::new();
-                    let mut lane_stats = crate::filters::LaneStats::default();
-                    if batched_on {
-                        // Batched lane kernel: gather the surviving
-                        // candidates into contiguous lane buffers, score
-                        // LANES per pass — bit-identical to the scalar
-                        // trials (asserted per candidate in debug builds).
-                        crate::assignable::score_candidates_batched_tuned(
-                            &self.ctx,
-                            st,
-                            &view,
-                            n,
-                            &mut cands,
-                            &mut lane_stats,
-                            scalar_cutoff,
-                            lane_width,
-                        );
-                    } else {
-                        for c in view.candidates() {
-                            // Mutation-free trial: one pass re-checks the
-                            // dynamic screens and replays apply's aggregate
-                            // arithmetic against locals, bit-exact with the
-                            // journalled apply-read-undo path (asserted
-                            // below).
-                            let scored =
-                                crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
-                            #[cfg(debug_assertions)]
-                            {
+                    for c in view.candidates() {
+                        // Mutation-free trial: one pass re-checks the dynamic
+                        // screens and replays apply's aggregate arithmetic
+                        // against locals, bit-exact with the journalled
+                        // apply-read-undo path (asserted below).
+                        let scored =
+                            crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
+                        #[cfg(debug_assertions)]
+                        {
+                            debug_assert_eq!(
+                                scored.is_some(),
+                                crate::assignable::assignable_dynamic(&self.ctx, st, &view, n, c),
+                                "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                            );
+                            if let Some(cost) = scored {
+                                let undo = st.apply_assign_logged(&self.ctx, n, c);
                                 debug_assert_eq!(
-                                    scored.is_some(),
-                                    crate::assignable::assignable_dynamic(
-                                        &self.ctx,
-                                        st,
-                                        &view,
-                                        n,
-                                        c
-                                    ),
-                                    "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                                    cost.to_bits(),
+                                    st.cost.to_bits(),
+                                    "score_if_assignable diverged from apply for {n:?} @ {c:?}"
                                 );
-                                if let Some(cost) = scored {
-                                    let undo = st.apply_assign_logged(&self.ctx, n, c);
-                                    debug_assert_eq!(
-                                        cost.to_bits(),
-                                        st.cost.to_bits(),
-                                        "score_if_assignable diverged from apply for {n:?} @ {c:?}"
-                                    );
-                                    st.undo_assign(&self.ctx, undo);
-                                }
+                                st.undo_assign(&self.ctx, undo);
                             }
-                            let Some(cost) = scored else { continue };
-                            cands.push((c, cost));
                         }
+                        let Some(cost) = scored else { continue };
+                        cands.push((c, cost));
                     }
                     let pruning = cand_filter.apply(&mut cands);
-                    (cands, pruning, lane_stats)
+                    (cands, pruning)
                 });
-            // Lane counters accrue once per *distinct* state (the lane work
-            // ran once per distinct state too); `par_map_mut` returns in
-            // input order, so the sums are thread-count invariant.
-            for (_, _, ls) in &scored {
-                stats.lanes_scored += ls.lanes_scored;
-                stats.lane_batches += ls.lane_batches;
-                stats.scalar_tail += ls.scalar_tail;
-            }
 
-            // Merge deterministically as (beam slot, cluster, cost) tuples,
-            // in (beam order, per-state candidate order) — the exact
-            // sequence the materialised beam forked in. Candidate-filter
-            // rejections count once per *slot*: a deduplicated state prunes
-            // on behalf of each beam position it stands in for.
+            // Merge deterministically as (parent, cluster, cost) tuples, in
+            // (frontier order, per-state candidate order).
             let mut merged: Vec<(usize, PgNodeId, f64)> = Vec::new();
-            for (si, &di) in slots.iter().enumerate() {
-                let (cands, pruning, _) = &scored[di];
+            for (si, (cands, pruning)) in scored.iter().enumerate() {
                 stats.cand_rejected_margin += pruning.by_margin;
                 stats.cand_rejected_branch += pruning.by_branch;
                 merged.extend(cands.iter().map(|&(c, cost)| (si, c, cost)));
@@ -544,64 +423,45 @@ impl<'a> See<'a> {
                 if !self.config.enable_router {
                     return Err(SeeError::NoCandidates { node: n });
                 }
-                stats.route_attempts += slots.len();
+                stats.route_attempts += frontier.len();
                 // Trials run in place (journalled + rolled back) and the
-                // winning candidate per distinct state is *committed* in
-                // place — the parent was about to be discarded anyway, so
-                // the rescue path performs zero state clones. A state the
-                // router cannot rescue comes back bit-identical (rolled
-                // back) and retires to the arena below.
-                let ok: Vec<bool> = hca_par::par_map_mut(&mut distinct, |st| {
+                // winning candidate per state is *committed* in place — the
+                // parent was about to be discarded anyway, so the rescue path
+                // performs zero state clones. A state the router cannot
+                // rescue comes back bit-identical (rolled back) and retires
+                // to the arena.
+                let ok: Vec<bool> = hca_par::par_map_mut(&mut frontier, |st| {
                     route_assign_commit(&self.ctx, &self.rt, st, n, self.config.max_route_hops)
                 });
-                let mut new_slots: Vec<usize> =
-                    slots.iter().copied().filter(|&di| ok[di]).collect();
-                if new_slots.is_empty() {
-                    return Err(SeeError::NoCandidates { node: n });
-                }
-                stats.routed_nodes += new_slots.len();
-                stats.states_explored += new_slots.len();
-                // The node filter, virtually: the same stable sort over beam
-                // positions, then beam-width truncation.
-                new_slots.sort_by(|&a, &b| distinct[a].cost.total_cmp(&distinct[b].cost));
-                if trace_on {
-                    rescued_step = true;
-                    top_cands = new_slots
-                        .iter()
-                        .take(hca_obs::trace::TOP_K)
-                        .map(|&ci| {
-                            let c = distinct[ci].cluster_of(n).map_or(u32::MAX, |c| c.0);
-                            (c, distinct[ci].cost)
-                        })
-                        .collect();
-                }
-                let kept = new_slots.len().min(node_filter.beam_width);
-                stats.states_pruned += new_slots.len() - kept;
-                new_slots.truncate(kept);
-                // Retire failed rescues and states that lost all their slots.
-                let mut used = vec![false; distinct.len()];
-                for &ci in &new_slots {
-                    used[ci] = true;
-                }
-                let mut new_idx = vec![usize::MAX; distinct.len()];
-                let old = std::mem::take(&mut distinct);
-                for (i, st) in old.into_iter().enumerate() {
-                    if used[i] {
-                        new_idx[i] = distinct.len();
-                        distinct.push(st);
+                let mut rescued: Vec<PartialState> = Vec::with_capacity(frontier.len());
+                for (st, ok) in frontier.drain(..).zip(ok) {
+                    if ok {
+                        rescued.push(st);
                     } else {
                         pool.put(st);
                     }
                 }
-                for s in new_slots.iter_mut() {
-                    *s = new_idx[*s];
+                if rescued.is_empty() {
+                    return Err(SeeError::NoCandidates { node: n });
                 }
-                slots = new_slots;
-                // Rescues from different parents can converge on identical
-                // states — fold them.
-                stats.frontier_deduped +=
-                    crate::frontier::content_merge(&mut distinct, &mut slots, &mut freed);
-                pool.put_all(&mut freed);
+                stats.routed_nodes += rescued.len();
+                stats.states_explored += rescued.len();
+                // The node filter: stable sort, then beam-width truncation.
+                rescued.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+                if trace_on {
+                    rescued_step = true;
+                    top_cands = rescued
+                        .iter()
+                        .take(hca_obs::trace::TOP_K)
+                        .map(|st| (st.cluster_of(n).map_or(u32::MAX, |c| c.0), st.cost))
+                        .collect();
+                }
+                let kept = rescued.len().min(node_filter.beam_width);
+                stats.states_pruned += rescued.len() - kept;
+                for st in rescued.drain(kept..) {
+                    pool.put(st);
+                }
+                frontier = rescued;
             } else {
                 // Beam-filter on the scored tuples (same stable sort the
                 // node filter uses), then materialise *only* the survivors.
@@ -617,86 +477,48 @@ impl<'a> See<'a> {
                 let kept = merged.len().min(node_filter.beam_width);
                 stats.states_pruned += merged.len() - kept;
                 merged.truncate(kept);
-                // Fold surviving forks that share a (parent, cluster) pair:
-                // their children are bit-identical by construction, so each
-                // pair is materialised once and its beam slots share it.
-                let mut pairs: Vec<(usize, PgNodeId)> = Vec::new();
-                let mut new_slots: Vec<usize> = Vec::with_capacity(merged.len());
-                for &(si, c, _) in &merged {
-                    let key = (slots[si], c);
-                    let idx = match pairs.iter().position(|&p| p == key) {
-                        Some(i) => i,
-                        None => {
-                            pairs.push(key);
-                            pairs.len() - 1
-                        }
-                    };
-                    new_slots.push(idx);
-                }
-                stats.frontier_deduped += merged.len() - pairs.len();
                 // The last child of each parent takes it by move; earlier
                 // children copy onto recycled arena states. Applying the
                 // logged assignment replays the scored trial bit-exactly
                 // (undo restored the parent state).
-                let mut uses = vec![0usize; distinct.len()];
-                for &(di, _) in &pairs {
-                    uses[di] += 1;
+                let mut uses = vec![0usize; frontier.len()];
+                for &(si, _, _) in &merged {
+                    uses[si] += 1;
                 }
-                let mut parents: Vec<Option<PartialState>> = distinct.drain(..).map(Some).collect();
-                for (di, c) in pairs {
-                    uses[di] -= 1;
-                    let mut child = if uses[di] == 0 {
-                        parents[di].take().expect("last use moves the parent")
+                let mut parents: Vec<Option<PartialState>> = frontier.drain(..).map(Some).collect();
+                for &(si, c, _) in &merged {
+                    uses[si] -= 1;
+                    let mut child = if uses[si] == 0 {
+                        parents[si].take().expect("last use moves the parent")
                     } else {
                         pool.take_clone_of(
-                            parents[di].as_ref().expect("parent live until last use"),
+                            parents[si].as_ref().expect("parent live until last use"),
                         )
                     };
                     child.apply_assign(&self.ctx, n, c);
-                    distinct.push(child);
+                    frontier.push(child);
                 }
                 // Parents whose every child was beam-pruned retire.
                 for p in parents.into_iter().flatten() {
                     pool.put(p);
                 }
-                slots = new_slots;
-                // Children of *different* parents can also converge on
-                // identical states — fold those too.
-                stats.frontier_deduped +=
-                    crate::frontier::content_merge(&mut distinct, &mut slots, &mut freed);
-                pool.put_all(&mut freed);
             }
 
-            if dominance_on {
-                let removed =
-                    crate::frontier::prune_dominated(&mut distinct, &mut slots, &mut freed);
-                pool.put_all(&mut freed);
-                stats.dominance_pruned += removed;
-                // Dominance removals count as pruned states so the
-                // explored == pruned + Σ occupancy invariant keeps holding.
-                stats.states_pruned += removed;
-            }
-
-            // Memory accounting stays in beam terms: each slot charges its
-            // state's footprint, as the materialised beam would have.
-            let sizes: Vec<usize> = distinct.iter().map(PartialState::approx_bytes).collect();
-            let frontier_bytes: usize = slots.iter().map(|&di| sizes[di]).sum();
+            let frontier_bytes: usize = frontier.iter().map(PartialState::approx_bytes).sum();
             stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
             let step_ns = u64::try_from(step_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.record_step(slots.len(), step_ns);
+            stats.record_step(frontier.len(), step_ns);
             if trace_on {
-                let (e0, p0, m0, b0, d0, dom0) = pre.expect("snapshot taken when tracing");
+                let (e0, p0, m0, b0) = pre.expect("snapshot taken when tracing");
                 self.tracer.record(|| hca_obs::TraceRecord {
                     kind: hca_obs::trace::kind::STEP.to_string(),
                     step: step_idx,
                     node: n.0,
-                    beam: slots.len() as u32,
+                    beam: frontier.len() as u32,
                     explored: (stats.states_explored - e0) as u64,
                     pruned_beam: (stats.states_pruned - p0) as u64,
                     rej_margin: (stats.cand_rejected_margin - m0) as u64,
                     rej_branch: (stats.cand_rejected_branch - b0) as u64,
-                    deduped: (stats.frontier_deduped - d0) as u64,
-                    dominated: (stats.dominance_pruned - dom0) as u64,
                     rescued: rescued_step,
                     ns: step_ns,
                     cands: std::mem::take(&mut top_cands),
@@ -705,22 +527,14 @@ impl<'a> See<'a> {
             }
         }
 
-        // First beam slot with minimal cost, exactly as `min_by` picked the
-        // first minimum of the materialised frontier.
-        let best_di = {
-            let mut best: Option<usize> = None;
-            for &di in &slots {
-                let better = match best {
-                    None => true,
-                    Some(b) => distinct[di].cost.total_cmp(&distinct[b].cost).is_lt(),
-                };
-                if better {
-                    best = Some(di);
-                }
-            }
-            best.expect("frontier never empties after a successful loop")
-        };
-        let best = distinct.swap_remove(best_di);
+        // First state with minimal cost (`min_by` keeps the first minimum).
+        let best_idx = frontier
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
+            .map(|(i, _)| i)
+            .expect("frontier never empties after a successful loop");
+        let best = frontier.swap_remove(best_idx);
         stats.routed_hops = best.routed_hops;
         // Fold the run's routing counters in. Each skip/search event happens
         // deterministically per candidate regardless of which worker
@@ -938,7 +752,7 @@ impl<'a> See<'a> {
                 st.add_copy(ctx, v, chain[feeder], o, None, false);
                 if ctx.pg.input_carrying(v).is_some() && !chunk_of.contains_key(&v) {
                     st.charge_issue(ctx, chain[feeder], 1);
-                    st.push_forward(v, chain[feeder]);
+                    st.forwards.push((v, chain[feeder]));
                 }
             }
         }
@@ -1070,7 +884,7 @@ impl<'a> See<'a> {
                     if ctx.pg.input_carrying(v).is_some() && !ws_set.contains(&v) {
                         st.add_copy(ctx, v, host, o, None, false);
                         st.charge_issue(ctx, host, 1);
-                        st.push_forward(v, host);
+                        st.forwards.push((v, host));
                     }
                 }
             }
@@ -1290,7 +1104,7 @@ impl<'a> See<'a> {
             st.add_copy_txn(ctx, v, c, o, None, false, &mut txn);
             // The Route op itself costs an issue slot.
             st.charge_issue_txn(ctx, c, 1, &mut txn);
-            st.push_forward(v, c);
+            st.forwards.push((v, c));
         }
         st.cost = crate::cost::objective(ctx, st);
         let cost = st.cost;

@@ -42,35 +42,6 @@ pub struct CandidatePruning {
     pub by_branch: usize,
 }
 
-/// Per-expansion counters of the batched scoring kernel
-/// ([`crate::assignable::score_candidates_batched`]), reported next to
-/// [`CandidatePruning`] and folded into
-/// [`SeeStats`](crate::engine::SeeStats) by the engine. All three stay zero
-/// when batching is disabled (`SeeConfig::batched_scoring` / `HCA_NO_BATCH`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Candidates scored through lane batches.
-    pub lanes_scored: usize,
-    /// Lane batches flushed (each scores up to `LANES` candidates per pass;
-    /// sub-width remainders flush as one partial batch at their real width).
-    pub lane_batches: usize,
-    /// Candidates the scalar path scored while batching was on: views the
-    /// lane fold cannot express (no fast producer view because two edges
-    /// share an `(arc, value)` pair, or more than 32 producer/consumer
-    /// edges) plus expansions too small to repay batch setup.
-    pub scalar_tail: usize,
-}
-
-impl LaneStats {
-    /// Fold another expansion's counters into this one.
-    #[inline]
-    pub fn absorb(&mut self, other: LaneStats) {
-        self.lanes_scored += other.lanes_scored;
-        self.lane_batches += other.lane_batches;
-        self.scalar_tail += other.scalar_tail;
-    }
-}
-
 impl CandidateFilter {
     /// Filter `candidates` (cluster, objective) in place: sort ascending by
     /// cost (ties by cluster id for determinism), apply the margin, truncate

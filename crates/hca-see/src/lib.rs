@@ -32,21 +32,17 @@ pub mod cost;
 pub mod engine;
 pub mod exact;
 pub mod filters;
-mod frontier;
 pub mod neighbors;
 pub mod route;
 pub mod route_table;
 pub mod state;
 pub mod statics;
 
-pub use assignable::{
-    node_view, score_candidates_batched, score_candidates_batched_tuned, score_if_assignable,
-    NodeView, LANES, SCALAR_CUTOFF,
-};
+pub use assignable::{node_view, score_if_assignable, NodeView};
 pub use bounds::{mii_lower_bound, MiiLowerBound};
 pub use cost::CostWeights;
 pub use engine::{See, SeeConfig, SeeError, SeeOutcome, SeeStats, STEP_SAMPLE_CAP};
 pub use exact::{solution_score, ExactConfig, ExactOutcome};
-pub use filters::{CandList, LaneStats};
+pub use filters::CandList;
 pub use route_table::RouteTable;
 pub use state::{PartialState, SeeContext};

@@ -22,27 +22,6 @@ use rustc_hash::FxHashSet;
 use smallvec::SmallVec;
 use std::sync::Arc;
 
-/// Site tags for [`sig_entry`]: each structural container hashes its entries
-/// under its own tag so an `(n, c)` assignment can never cancel against a
-/// same-bits neighbour entry.
-const SIG_ASSIGN: u8 = 0;
-const SIG_COPY: u8 = 1;
-const SIG_IN: u8 = 2;
-const SIG_OUT: u8 = 3;
-const SIG_FORWARD: u8 = 4;
-
-/// Hash of one structural entry for the XOR-multiset signature. Ordered
-/// containers (`copies` value lists, `forwards`) include the entry's
-/// position, so the signature distinguishes orderings; unordered maps/sets
-/// rely on XOR commutativity alone.
-#[inline]
-fn sig_entry<T: std::hash::Hash>(tag: u8, entry: T) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = rustc_hash::FxHasher::default();
-    (tag, entry).hash(&mut h);
-    h.finish()
-}
-
 /// Immutable context shared by every state of one SEE run.
 pub struct SeeContext<'a> {
     /// The loop's DDG.
@@ -86,7 +65,7 @@ fn arc_key(src: PgNodeId, dst: PgNodeId) -> u64 {
 /// [`arc_key`]. The representation is canonical: unused inline slots hold
 /// [`EMPTY_SLOT`], and a spill entry exists iff the arc's values exceed its
 /// inline capacity — so `PartialEq` is three slice/vec compares and no
-/// mutation-history noise can leak into frontier dedup.
+/// mutation-history noise can leak into state equality.
 ///
 /// Value lists are LIFO: the journals only ever pop the most recent push,
 /// which is what keeps the canonical form O(1) to maintain.
@@ -161,32 +140,6 @@ impl ArcVals {
         self.len(src, dst) == 0
     }
 
-    /// Number of values on the *indexed* arc `id` — the column accessor the
-    /// batched scorer's gather pass uses once it holds an arc id from
-    /// [`ArcIndex::ids_row`], skipping the id-matrix lookup and the
-    /// off-index spill fallback of [`ArcVals::len`].
-    #[inline]
-    pub fn len_by_id(&self, id: u32) -> usize {
-        usize::from(self.lens[id as usize])
-    }
-
-    /// Does the *indexed* arc `id` carry value `v`? Equivalent to
-    /// [`ArcVals::contains`] on the arc's endpoints, minus the id lookup.
-    #[inline]
-    pub fn contains_by_id(&self, id: u32, v: NodeId) -> bool {
-        let idx = id as usize;
-        let len = usize::from(self.lens[idx]);
-        let inline = &self.slots[idx * ARC_CAP..idx * ARC_CAP + len.min(ARC_CAP)];
-        if inline.contains(&v) {
-            return true;
-        }
-        len > ARC_CAP && {
-            let (src, dst) = self.index.pair(id);
-            self.spill_pos(arc_key(src, dst))
-                .is_ok_and(|i| self.spill[i].1.contains(&v))
-        }
-    }
-
     /// Does arc `src → dst` carry value `v`?
     #[inline]
     pub fn contains(&self, src: PgNodeId, dst: PgNodeId, v: NodeId) -> bool {
@@ -210,8 +163,7 @@ impl ArcVals {
     }
 
     /// Append `v` to arc `src → dst` (caller guarantees it is not already
-    /// present) and return its position — the arc's length before the push,
-    /// which is what the structure signature signs.
+    /// present) and return its position — the arc's length before the push.
     fn push(&mut self, src: PgNodeId, dst: PgNodeId, v: NodeId) -> u32 {
         match self.index.arc_id(src, dst) {
             Some(id) => {
@@ -246,47 +198,41 @@ impl ArcVals {
         }
     }
 
-    /// Pop the most recent value of arc `src → dst` (journals unwind LIFO),
-    /// returning `(value, new_len)` — `new_len` is the popped value's
-    /// position, which the structure signature un-signs.
-    fn pop_last(&mut self, src: PgNodeId, dst: PgNodeId) -> (NodeId, u32) {
+    /// Pop the most recent value of arc `src → dst` (journals unwind LIFO).
+    fn pop_last(&mut self, src: PgNodeId, dst: PgNodeId) {
         match self.index.arc_id(src, dst) {
             Some(id) => {
                 let idx = id as usize;
                 let len = usize::from(self.lens[idx]);
                 debug_assert!(len > 0, "pop from empty arc {src}->{dst}");
-                let v = if len > ARC_CAP {
+                if len > ARC_CAP {
                     let i = self
                         .spill_pos(arc_key(src, dst))
                         .expect("overflowing arc has a spill entry");
-                    let v = self.spill[i].1.pop().expect("spill entry is non-empty");
+                    self.spill[i].1.pop().expect("spill entry is non-empty");
                     if self.spill[i].1.is_empty() {
                         self.spill.remove(i);
                     }
-                    v
                 } else {
-                    std::mem::replace(&mut self.slots[idx * ARC_CAP + len - 1], EMPTY_SLOT)
-                };
+                    self.slots[idx * ARC_CAP + len - 1] = EMPTY_SLOT;
+                }
                 self.lens[idx] = (len - 1) as u16;
-                (v, (len - 1) as u32)
             }
             None => {
                 let i = self
                     .spill_pos(arc_key(src, dst))
                     .expect("journalled arc exists");
-                let v = self.spill[i].1.pop().expect("journalled copy exists");
-                let new_len = self.spill[i].1.len();
-                if new_len == 0 {
+                self.spill[i].1.pop().expect("journalled copy exists");
+                if self.spill[i].1.is_empty() {
                     self.spill.remove(i);
                 }
-                (v, new_len as u32)
             }
         }
     }
 
     /// Visit every non-empty arc with its values in insertion order. Arc
     /// visiting order is unspecified (indexed arcs first, then off-index
-    /// spill arcs) — the cold-path callers sort or XOR. The slice passed for
+    /// spill arcs) — the cold-path callers sort. The slice passed for
     /// an overflowing arc is assembled in a scratch buffer.
     pub fn for_each_arc<F: FnMut(PgNodeId, PgNodeId, &[NodeId])>(&self, mut f: F) {
         let mut buf: SmallVec<[NodeId; 8]> = SmallVec::new();
@@ -444,21 +390,10 @@ pub struct PartialState {
     pub routed_hops: u32,
     /// Pass-through forwards performed at this level: an external value
     /// entering on a glue-in wire and leaving on a glue-out wire is re-emitted
-    /// by the named cluster (one issue slot for the `Route` op). Mutate only
-    /// through [`push_forward`](PartialState::push_forward) (and the txn
-    /// rollback), which maintain [`struct_sig`](PartialState::struct_sig).
+    /// by the named cluster (one issue slot for the `Route` op).
     pub forwards: Vec<(NodeId, PgNodeId)>,
     /// Cached objective value.
     pub cost: f64,
-    /// XOR-multiset hash of the structural content (assignment, copies,
-    /// neighbour sets, forwards), maintained in O(1) by every mutator.
-    /// Identical content implies identical signature regardless of mutation
-    /// history: XOR is order-independent, and every mutation path adds or
-    /// removes the same site-tagged entry hash for the same entry. The
-    /// frontier uses it as a reject-only prefilter for its structural
-    /// comparisons — full equality is always verified behind a signature
-    /// match, so hash collisions stay harmless.
-    pub(crate) struct_sig: u64,
     /// Running max of per-cluster resource-pressure ceilings (issue, ALU,
     /// address-gen). `u32::MAX` poisons states that put AG work on an
     /// AG-less cluster. Maintained by the mutators; never decreases.
@@ -487,7 +422,6 @@ impl Clone for PartialState {
             routed_hops: self.routed_hops,
             forwards: self.forwards.clone(),
             cost: self.cost,
-            struct_sig: self.struct_sig,
             mii_issue: self.mii_issue,
             mii_arc: self.mii_arc,
             util_sq_sum: self.util_sq_sum,
@@ -510,7 +444,6 @@ impl Clone for PartialState {
         self.routed_hops = src.routed_hops;
         self.forwards.clone_from(&src.forwards);
         self.cost = src.cost;
-        self.struct_sig = src.struct_sig;
         self.mii_issue = src.mii_issue;
         self.mii_arc = src.mii_arc;
         self.util_sq_sum = src.util_sq_sum;
@@ -629,7 +562,6 @@ impl PartialState {
             routed_hops: 0,
             forwards: Vec::new(),
             cost: 0.0,
-            struct_sig: 0,
             mii_issue: 0,
             mii_arc: 0,
             util_sq_sum: 0.0,
@@ -641,53 +573,11 @@ impl PartialState {
                 for &v in values {
                     if !ws.contains(&v) {
                         st.assignment[v.index()] = Some(id);
-                        st.struct_sig ^= sig_entry(SIG_ASSIGN, (v, id));
                     }
                 }
             }
         }
-        debug_assert_eq!(st.struct_sig, st.compute_struct_sig());
         st
-    }
-
-    /// Recompute [`struct_sig`](Self) from scratch by walking every
-    /// structural container. Used once per state family (`initial`) and by
-    /// the frontier's debug assertions that validate the incremental
-    /// maintenance; the hot path never calls this.
-    pub(crate) fn compute_struct_sig(&self) -> u64 {
-        let mut sig = 0u64;
-        for (i, &slot) in self.assignment.iter().enumerate() {
-            if let Some(c) = slot {
-                sig ^= sig_entry(SIG_ASSIGN, (NodeId(i as u32), c));
-            }
-        }
-        self.copies.for_each_arc(|src, dst, vs| {
-            for (pos, &v) in vs.iter().enumerate() {
-                sig ^= sig_entry(SIG_COPY, (src, dst, pos as u32, v));
-            }
-        });
-        for i in 0..self.in_neighbors.num_rows() {
-            for src in self.in_neighbors.iter(i) {
-                sig ^= sig_entry(SIG_IN, (i as u32, src));
-            }
-        }
-        for i in 0..self.out_neighbors.num_rows() {
-            for dst in self.out_neighbors.iter(i) {
-                sig ^= sig_entry(SIG_OUT, (i as u32, dst));
-            }
-        }
-        for (pos, &(v, c)) in self.forwards.iter().enumerate() {
-            sig ^= sig_entry(SIG_FORWARD, (pos as u32, v, c));
-        }
-        sig
-    }
-
-    /// Append a pass-through forward, maintaining the structure signature.
-    /// `forwards` is ordered and only ever grows at the tail (the txn
-    /// rollback truncates from the tail), so entries sign by position.
-    pub fn push_forward(&mut self, v: NodeId, c: PgNodeId) {
-        self.struct_sig ^= sig_entry(SIG_FORWARD, (self.forwards.len() as u32, v, c));
-        self.forwards.push((v, c));
     }
 
     /// Cluster currently holding `n`, if assigned.
@@ -754,16 +644,9 @@ impl PartialState {
         }
         let pos = self.copies.push(src, dst, v);
         self.mii_arc = self.mii_arc.max(pos + 1);
-        self.struct_sig ^= sig_entry(SIG_COPY, (src, dst, pos, v));
         self.total_copies += 1;
         let new_in_neighbor = self.in_neighbors.insert(dst.index(), src);
-        if new_in_neighbor {
-            self.struct_sig ^= sig_entry(SIG_IN, (dst.index() as u32, src));
-        }
         let new_out_neighbor = self.out_neighbors.insert(src.index(), dst);
-        if new_out_neighbor {
-            self.struct_sig ^= sig_entry(SIG_OUT, (src.index() as u32, dst));
-        }
         // Receiving a value costs one issue slot on the destination cluster
         // (the rcv primitive, §2.2) — but only on real clusters: special
         // output nodes model the parent boundary and execute nothing.
@@ -791,22 +674,19 @@ impl PartialState {
     }
 
     /// Pop the journalled copy `cu` (shared by [`undo_assign`] and
-    /// [`txn_rollback`]): pop the arc's last value, un-sign it, close any
+    /// [`txn_rollback`]): pop the arc's last value, close any
     /// neighbour entries the copy opened and refund the receive charge.
     ///
     /// [`undo_assign`]: PartialState::undo_assign
     /// [`txn_rollback`]: PartialState::txn_rollback
     fn undo_copy(&mut self, cu: &CopyUndo) {
         let (src, dst) = cu.arc;
-        let (v, new_len) = self.copies.pop_last(src, dst);
-        self.struct_sig ^= sig_entry(SIG_COPY, (src, dst, new_len, v));
+        self.copies.pop_last(src, dst);
         if cu.new_in_neighbor {
             self.in_neighbors.remove(dst.index(), src);
-            self.struct_sig ^= sig_entry(SIG_IN, (dst.index() as u32, src));
         }
         if cu.new_out_neighbor {
             self.out_neighbors.remove(src.index(), dst);
-            self.struct_sig ^= sig_entry(SIG_OUT, (src.index() as u32, dst));
         }
         if cu.charged_recv {
             *self.loads.recv_mut(dst.index()) -= 1;
@@ -817,7 +697,6 @@ impl PartialState {
     /// Reverse one [`place`](PartialState::place) (shared by the journals).
     fn undo_place(&mut self, ctx: &SeeContext<'_>, n: NodeId, c: PgNodeId) {
         self.assignment[n.index()] = None;
-        self.struct_sig ^= sig_entry(SIG_ASSIGN, (n, c));
         let i = c.index();
         *self.loads.issue_mut(i) -= 1;
         match ctx.ddg.node(n).op.resource_class() {
@@ -857,7 +736,6 @@ impl PartialState {
         );
         debug_assert!(self.assignment[n.index()].is_none(), "{n} already assigned");
         self.assignment[n.index()] = Some(c);
-        self.struct_sig ^= sig_entry(SIG_ASSIGN, (n, c));
         self.charge_issue(ctx, c, 1);
         let i = c.index();
         let rt = ctx.pg.node(c).rt;
@@ -1053,11 +931,6 @@ impl PartialState {
                 }
             }
         }
-        let mut fwd_delta = 0u64;
-        for (pos, &(v, c)) in self.forwards.iter().enumerate().skip(txn.forwards_len) {
-            fwd_delta ^= sig_entry(SIG_FORWARD, (pos as u32, v, c));
-        }
-        self.struct_sig ^= fwd_delta;
         self.forwards.truncate(txn.forwards_len);
         self.total_copies = txn.total_copies;
         self.recurrence_copies = txn.recurrence_copies;
@@ -1351,10 +1224,6 @@ mod tests {
         assert_eq!(a.mii_arc, b.mii_arc);
         assert_eq!(a.util_sq_sum.to_bits(), b.util_sq_sum.to_bits());
         assert_eq!(a.util_clusters, b.util_clusters);
-        // The structure signature must both round-trip and agree with a
-        // from-scratch recomputation — the incremental maintenance is exact.
-        assert_eq!(a.struct_sig, b.struct_sig);
-        assert_eq!(b.struct_sig, b.compute_struct_sig());
     }
 
     #[test]
@@ -1484,7 +1353,7 @@ mod tests {
         // Re-adding the same value on the same arc is a no-op …
         assert!(!st.add_copy_txn(&ctx, p, PgNodeId(0), PgNodeId(1), None, false, &mut txn));
         st.charge_issue_txn(&ctx, PgNodeId(1), 1, &mut txn);
-        st.push_forward(p, PgNodeId(1));
+        st.forwards.push((p, PgNodeId(1)));
         st.routed_hops += 1;
         st.cost = crate::cost::objective(&ctx, &st);
         assert_ne!(st.total_copies, before.total_copies);

@@ -67,15 +67,6 @@ impl ArcIndex {
         self.pairs.len()
     }
 
-    /// The dense arc-id row of `src`: entry `dst.index()` is the id of
-    /// `src → dst`, or `u32::MAX` when the arc is not potential. The batched
-    /// scorer's gather pass walks one candidate's outgoing arcs as plain
-    /// slice indexing instead of per-probe [`ArcIndex::arc_id`] calls.
-    #[inline]
-    pub fn ids_row(&self, src: PgNodeId) -> &[u32] {
-        &self.ids[src.index() * self.n..(src.index() + 1) * self.n]
-    }
-
     /// The `(src, dst)` endpoints of arc `id`.
     #[inline]
     pub fn pair(&self, id: u32) -> (PgNodeId, PgNodeId) {

@@ -54,7 +54,7 @@ fn traced_run_emits_one_step_record_per_placement() {
     }
     let explored: u64 = steps.iter().map(|r| r.explored).sum();
     assert_eq!(explored, out.stats.states_explored as u64);
-    let pruned: u64 = steps.iter().map(|r| r.pruned_beam + r.dominated).sum();
+    let pruned: u64 = steps.iter().map(|r| r.pruned_beam).sum();
     assert_eq!(pruned, out.stats.states_pruned as u64);
     let margin: u64 = steps.iter().map(|r| r.rej_margin).sum();
     assert_eq!(margin, out.stats.cand_rejected_margin as u64);

@@ -70,224 +70,15 @@ fn assert_stats_match(a: &SeeStats, b: &SeeStats, name: &str) {
     assert_eq!(a.peak_frontier_bytes, b.peak_frontier_bytes, "{name}");
     assert_eq!(a.route_bfs_runs, b.route_bfs_runs, "{name}");
     assert_eq!(a.route_cache_hits, b.route_cache_hits, "{name}");
-    assert_eq!(a.frontier_deduped, b.frontier_deduped, "{name}");
-    assert_eq!(a.dominance_pruned, b.dominance_pruned, "{name}");
     assert_eq!(a.steps, b.steps, "{name}");
     assert_eq!(a.beam_occupancy_sum, b.beam_occupancy_sum, "{name}");
     assert_eq!(a.route_table_bytes, b.route_table_bytes, "{name}");
     assert_eq!(a.arc_table_bytes, b.arc_table_bytes, "{name}");
     assert_eq!(a.state_arena_bytes, b.state_arena_bytes, "{name}");
     assert_eq!(a.step_time_ns.len(), b.step_time_ns.len(), "{name}");
-    // Lane accounting is merged in input order, so it is thread-invariant
-    // like every other counter.
-    assert_eq!(a.lanes_scored, b.lanes_scored, "{name}");
-    assert_eq!(a.lane_batches, b.lane_batches, "{name}");
-    assert_eq!(a.scalar_tail, b.scalar_tail, "{name}");
     // The scorer is mutation-free: reintroducing a per-candidate state
     // clone in the hot loop must fail here, not show up as a perf cliff.
     assert_eq!(a.state_clones, 0, "{name}: trial clones in the hot loop");
-}
-
-/// Dominance pruning is a heuristic; this is its empirical safety gate.
-/// With pruning on vs. off, every Table-1 kernel must reach the identical
-/// final MII, placement and program.
-#[test]
-fn dominance_pruning_preserves_table1_results() {
-    let _g = OVERRIDE_LOCK.lock().unwrap();
-    let fabric = DspFabric::standard(8, 8, 8);
-    for kernel in hca_repro::kernels::table1_kernels() {
-        let mut results = Vec::new();
-        for dominance in [true, false] {
-            let config = HcaConfig {
-                see: SeeConfig {
-                    dominance,
-                    ..SeeConfig::default()
-                },
-                ..HcaConfig::default()
-            };
-            results.push(
-                run_hca(&kernel.ddg, &fabric, &config)
-                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name)),
-            );
-        }
-        let (on, off) = (&results[0], &results[1]);
-        assert_eq!(
-            on.mii, off.mii,
-            "{}: MII diverges under dominance",
-            kernel.name
-        );
-        assert_eq!(
-            on.placement, off.placement,
-            "{}: placement diverges under dominance",
-            kernel.name
-        );
-        assert_eq!(
-            on.final_program.placement, off.final_program.placement,
-            "{}: final program diverges under dominance",
-            kernel.name
-        );
-        assert_eq!(
-            on.final_program.recv_nodes, off.final_program.recv_nodes,
-            "{}: copy primitives diverge under dominance",
-            kernel.name
-        );
-    }
-}
-
-/// The lane-tuning knobs (`SeeConfig::scalar_cutoff` / `lane_width`, the
-/// in-process forms of `HCA_SCALAR_CUTOFF` / `HCA_LANES`) only shift work
-/// between the batched and scalar scorers — both produce bit-identical
-/// scores, so any setting must reproduce the default run exactly. This is
-/// also what justifies leaving both fields out of the memo cache key.
-#[test]
-fn lane_tuning_knobs_are_result_transparent() {
-    let _g = OVERRIDE_LOCK.lock().unwrap();
-    let fabric = DspFabric::standard(8, 8, 8);
-    for kernel in hca_repro::kernels::table1_kernels() {
-        let baseline = run_hca(&kernel.ddg, &fabric, &HcaConfig::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-        for (cutoff, lanes) in [
-            (Some(0), None),
-            (Some(64), None),
-            (None, Some(1)),
-            (Some(1), Some(2)),
-        ] {
-            let config = HcaConfig {
-                see: SeeConfig {
-                    scalar_cutoff: cutoff,
-                    lane_width: lanes,
-                    ..SeeConfig::default()
-                },
-                ..HcaConfig::default()
-            };
-            let tuned = run_hca(&kernel.ddg, &fabric, &config)
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            assert_eq!(
-                baseline.mii, tuned.mii,
-                "{}: MII diverges under cutoff {cutoff:?} lanes {lanes:?}",
-                kernel.name
-            );
-            assert_eq!(
-                baseline.placement, tuned.placement,
-                "{}: placement diverges under cutoff {cutoff:?} lanes {lanes:?}",
-                kernel.name
-            );
-            assert_eq!(
-                baseline.final_program.placement, tuned.final_program.placement,
-                "{}: final program diverges under cutoff {cutoff:?} lanes {lanes:?}",
-                kernel.name
-            );
-        }
-    }
-}
-
-/// The batched scoring kernel is a pure throughput change: with batching on
-/// vs. off, every Table-1 kernel must reach the identical final MII,
-/// placement, program and run statistics — and at the SEE level the final
-/// cost must agree *bitwise* with identical search statistics (lane
-/// counters excepted: they are exactly what the toggle changes, and must be
-/// all-zero when batching is off).
-///
-/// The toggle here is `SeeConfig::batched_scoring`, not the `HCA_NO_BATCH`
-/// environment variable: mutating the process environment would race the
-/// parallel test harness. CI additionally runs this whole suite under
-/// `HCA_NO_BATCH=1` to cover the env escape hatch.
-#[test]
-fn batched_scoring_preserves_table1_results() {
-    let _g = OVERRIDE_LOCK.lock().unwrap();
-    use hca_repro::arch::ResourceTable;
-    use hca_repro::ddg::analysis::DdgAnalysis;
-    use hca_repro::pg::{ArchConstraints, Pg};
-
-    let fabric = DspFabric::standard(8, 8, 8);
-    for kernel in hca_repro::kernels::table1_kernels() {
-        // Full pipeline, both toggles.
-        let mut results = Vec::new();
-        for batched_scoring in [true, false] {
-            let config = HcaConfig {
-                see: SeeConfig {
-                    batched_scoring,
-                    ..SeeConfig::default()
-                },
-                ..HcaConfig::default()
-            };
-            results.push(
-                run_hca(&kernel.ddg, &fabric, &config)
-                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name)),
-            );
-        }
-        let (on, off) = (&results[0], &results[1]);
-        assert_eq!(on.mii, off.mii, "{}: MII diverges", kernel.name);
-        assert_eq!(
-            on.placement, off.placement,
-            "{}: placement diverges under batching",
-            kernel.name
-        );
-        assert_eq!(on.stats, off.stats, "{}: run stats diverge", kernel.name);
-        assert_eq!(
-            on.final_program.placement, off.final_program.placement,
-            "{}: final program diverges under batching",
-            kernel.name
-        );
-        assert_eq!(
-            on.final_program.recv_nodes, off.final_program.recv_nodes,
-            "{}: copy primitives diverge under batching",
-            kernel.name
-        );
-
-        // Raw SEE level: bitwise cost identity and matching search stats.
-        let analysis = DdgAnalysis::compute(&kernel.ddg).unwrap();
-        let pg = Pg::complete(8, ResourceTable::of_cns(8));
-        let constraints = ArchConstraints {
-            max_in_neighbors: 4,
-            max_out_neighbors: None,
-            out_node_max_in: 1,
-            copy_latency: 1,
-        };
-        let mut outcomes = Vec::new();
-        for batched_scoring in [true, false] {
-            let config = SeeConfig {
-                batched_scoring,
-                ..SeeConfig::default()
-            };
-            let see = See::new(&kernel.ddg, &analysis, &pg, constraints, config);
-            outcomes.push(
-                see.run(None)
-                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name)),
-            );
-        }
-        let (on, off) = (&outcomes[0], &outcomes[1]);
-        assert_eq!(
-            on.cost.to_bits(),
-            off.cost.to_bits(),
-            "{}: SEE cost is not bit-identical under batching",
-            kernel.name
-        );
-        assert_eq!(on.est_mii, off.est_mii, "{}: est MII diverges", kernel.name);
-        assert_eq!(
-            off.stats.lanes_scored + off.stats.lane_batches + off.stats.scalar_tail,
-            0,
-            "{}: lane counters must stay zero with batching off",
-            kernel.name
-        );
-        // Under `HCA_NO_BATCH=1` (the CI escape-hatch sweep) the env
-        // override forces the scalar path even with the config on, so the
-        // lane ledger is legitimately empty — the bitwise assertions above
-        // then pin scalar ≡ scalar, which is exactly what that sweep is for.
-        if std::env::var_os("HCA_NO_BATCH").is_none() {
-            assert!(
-                on.stats.lanes_scored > 0,
-                "{}: batching on never used a lane — the kernel is dead code here",
-                kernel.name
-            );
-        }
-        // Every other statistic matches; only the lane ledger may differ.
-        let mut off_stats = off.stats.clone();
-        off_stats.lanes_scored = on.stats.lanes_scored;
-        off_stats.lane_batches = on.stats.lane_batches;
-        off_stats.scalar_tail = on.stats.scalar_tail;
-        assert_stats_match(&on.stats, &off_stats, kernel.name);
-    }
 }
 
 #[test]

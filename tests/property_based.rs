@@ -104,125 +104,6 @@ proptest! {
     }
 }
 
-/// The lane-batched scoring kernel against the scalar reference over 200
-/// fixed synthetic seeds: for every (state, node) expansion the batched
-/// kernel must accept exactly the scalar candidate set with bit-identical
-/// scores — full batches, partial batches and scalar fallbacks alike —
-/// and the candidate filter must produce the same survivors from either
-/// push order, including under a degenerate NaN margin and under
-/// non-finite weights (the `1e12` cost-clamp path).
-#[test]
-fn lane_batched_scorer_bit_equals_scalar_on_200_seeds() {
-    use hca_repro::arch::ResourceTable;
-    use hca_repro::ddg::DdgAnalysis;
-    use hca_repro::pg::{ArchConstraints, Pg, PgNodeId};
-    use hca_repro::see::filters::CandidateFilter;
-    use hca_repro::see::{
-        node_view, score_candidates_batched, score_if_assignable, CandList, CostWeights, LaneStats,
-        PartialState, SeeContext, LANES,
-    };
-
-    let mut lane_total = 0usize;
-    let mut tail_total = 0usize;
-    for seed in 0..200u64 {
-        let spec = SyntheticSpec {
-            nodes: 12 + (seed % 30) as usize,
-            width: 4,
-            density: 0.3,
-            mem_ratio: 0.2,
-            accumulators: (seed % 3) as usize,
-            seed,
-        };
-        let ddg = generate(&spec);
-        let analysis = DdgAnalysis::compute(&ddg).expect("synthetic DDGs analysable");
-        // 3–9 clusters: candidate lists both below and above LANES.
-        let clusters = 3 + (seed % 7) as usize;
-        let pg = Pg::complete(clusters, ResourceTable::of_cns(4));
-        let weights = match seed % 5 {
-            0 => CostWeights {
-                critical: f64::INFINITY,
-                ..CostWeights::default()
-            },
-            1 => CostWeights::copies_only(),
-            _ => CostWeights::default(),
-        };
-        let ctx = SeeContext {
-            ddg: &ddg,
-            analysis: &analysis,
-            pg: &pg,
-            constraints: ArchConstraints {
-                max_in_neighbors: 2 + (seed % 3) as u32,
-                max_out_neighbors: None,
-                out_node_max_in: 1,
-                copy_latency: 1,
-            },
-            weights,
-            issue_cap: (seed % 2 == 0).then_some(3),
-            statics: hca_repro::see::statics::PgStatics::build(&pg),
-        };
-        let order: Vec<_> = ddg.node_ids().collect();
-        let mut st = PartialState::initial(&ctx, &order);
-        for &n in &order {
-            let view = node_view(&ctx, &st, n);
-            let mut scalar = CandList::new();
-            for c in view.candidates() {
-                if let Some(cost) = score_if_assignable(&ctx, &st, &view, n, c) {
-                    scalar.push((c, cost));
-                }
-            }
-            let mut batched = CandList::new();
-            let mut stats = LaneStats::default();
-            score_candidates_batched(&ctx, &st, &view, n, &mut batched, &mut stats);
-            let key = |v: &CandList| {
-                let mut k: Vec<(PgNodeId, u64)> =
-                    v.iter().map(|&(c, x)| (c, x.to_bits())).collect();
-                k.sort();
-                k
-            };
-            assert_eq!(
-                key(&scalar),
-                key(&batched),
-                "seed {seed}: batched diverges from scalar for {n:?}"
-            );
-            // Partial batches flush at their real width, so each batch
-            // accounts for 1..=LANES scored lanes.
-            assert!(
-                stats.lanes_scored <= LANES * stats.lane_batches
-                    && stats.lanes_scored >= stats.lane_batches
-            );
-            lane_total += stats.lanes_scored;
-            tail_total += stats.scalar_tail;
-            // The two paths may push in different orders; the filter's total
-            // (cost, cluster) sort must erase that — even when a NaN margin
-            // disables margin pruning entirely.
-            let filter = CandidateFilter {
-                branch_factor: 3,
-                margin: if seed % 4 == 0 { f64::NAN } else { 8.0 },
-            };
-            let mut fs = scalar.clone();
-            filter.apply(&mut fs);
-            let mut fb = batched.clone();
-            filter.apply(&mut fb);
-            assert_eq!(
-                key(&fs),
-                key(&fb),
-                "seed {seed}: filtered survivors diverge for {n:?}"
-            );
-            assert_eq!(
-                fs.iter().map(|c| c.0).collect::<Vec<_>>(),
-                fb.iter().map(|c| c.0).collect::<Vec<_>>(),
-                "seed {seed}: filtered order diverges for {n:?}"
-            );
-            if let Some(&(c, _)) = fs.first() {
-                st.apply_assign(&ctx, n, c);
-            }
-        }
-    }
-    // The sweep is only meaningful if it exercised both kernel paths.
-    assert!(lane_total > 0, "no candidate ever scored through a lane");
-    assert!(tail_total > 0, "no candidate ever took the scalar tail");
-}
-
 /// A deterministic ≥100-seed floor under the proptest exploration above:
 /// the journal round-trip must hold on every one of these synthetic loop
 /// bodies regardless of how the proptest config is tuned.
