@@ -10,15 +10,8 @@
 //! cargo run --release -p hca-bench --bin bench_serve -- \
 //!     --requests 400 --clients 8 --snapshot /tmp/serve.snap --expect-hits
 //! ```
-//!
-//! Each invocation appends one `serve` record to `BENCH_history.jsonl`
-//! (same schema as `bench_gate`: wall-clock in `millis`, everything else
-//! as counters) so the daemon's throughput rides the same trajectory file
-//! as the direct-path benches.
 
 use hca_serve::{Client, CompileSpec, Server, ServerConfig};
-use serde::Serialize;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -72,61 +65,6 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     }
     let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
     sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
-/// Mirror of `bench_gate`'s history line so both benches share
-/// `BENCH_history.jsonl` (and `hca diff-metrics` reads either).
-#[derive(Serialize)]
-struct HistoryCase {
-    case: String,
-    millis: f64,
-    counters: BTreeMap<String, u64>,
-}
-
-#[derive(Serialize)]
-struct HistoryRecord {
-    commit: String,
-    unix_ms: u64,
-    record: bool,
-    cases: Vec<HistoryCase>,
-}
-
-fn append_history(case: HistoryCase) {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
-    let rec = HistoryRecord {
-        commit,
-        unix_ms,
-        record: false,
-        cases: vec![case],
-    };
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl");
-    let line = match serde_json::to_string(&rec) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("warning: cannot serialise history record: {e}");
-            return;
-        }
-    };
-    use std::io::Write;
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    match appended {
-        Ok(()) => eprintln!("(appended to {})", path.display()),
-        Err(e) => eprintln!("warning: cannot append {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -215,29 +153,6 @@ fn main() {
             stats.snapshot_entries
         );
     }
-
-    let counters: BTreeMap<String, u64> = [
-        ("serve.requests".to_string(), total as u64),
-        ("serve.clients".to_string(), args.clients as u64),
-        ("serve.p50_us".to_string(), p50),
-        ("serve.p99_us".to_string(), p99),
-        ("serve.memo_hits".to_string(), stats.memo_hits),
-        ("serve.memo_misses".to_string(), stats.memo_misses),
-        ("serve.memo_evictions".to_string(), stats.memo_evictions),
-        ("serve.memo_entries".to_string(), stats.memo_entries as u64),
-        ("serve.memo_bytes".to_string(), stats.memo_bytes as u64),
-        (
-            "serve.snapshot_entries".to_string(),
-            stats.snapshot_entries as u64,
-        ),
-    ]
-    .into_iter()
-    .collect();
-    append_history(HistoryCase {
-        case: "serve".to_string(),
-        millis: wall_ms,
-        counters,
-    });
 
     if args.expect_hits && stats.memo_hits == 0 {
         eprintln!(

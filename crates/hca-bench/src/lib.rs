@@ -16,13 +16,9 @@ pub fn paper_fabric() -> DspFabric {
     DspFabric::standard(8, 8, 8)
 }
 
-/// Run the full HCA portfolio on one kernel and build its Table-1 row.
-pub fn clusterize(kernel: &Kernel, fabric: &DspFabric) -> Option<(HcaResult, Table1Row)> {
-    clusterize_obs(kernel, fabric, &Obs::disabled())
-}
-
-/// [`clusterize`] under an observer: the row's `metrics` field carries the
-/// run's phase timings and counters.
+/// Run the full HCA portfolio on one kernel under an observer and build its
+/// Table-1 row; the row's `metrics` field carries the run's phase timings
+/// and counters.
 pub fn clusterize_obs(
     kernel: &Kernel,
     fabric: &DspFabric,

@@ -34,6 +34,6 @@ pub use fuzz::{
 };
 pub use gen::random_kernel;
 pub use journal::journal_roundtrip_check;
-pub use oracle::{flat_optimal_mii, flat_optimal_mii_seeded, OracleConfig, OracleVerdict};
+pub use oracle::{flat_optimal_mii, OracleConfig, OracleVerdict};
 pub use reach::{coherency_violations_fixpoint, differential_coherency, value_delivered_fixpoint};
 pub use shrink::{induced_subgraph, shrink};

@@ -18,7 +18,6 @@
 
 use hca_arch::DspFabric;
 use hca_ddg::{analysis, Ddg, NodeId, Opcode};
-use hca_par::CancelToken;
 use rustc_hash::FxHashMap;
 
 /// Oracle search limits.
@@ -84,10 +83,6 @@ struct Search<'a> {
     best: u32,
     steps: u64,
     budget: u64,
-    /// Cooperative cancellation, polled at branch points.
-    cancel: CancelToken,
-    cancel_count: u32,
-    cancelled: bool,
     /// An incumbent reached the provable floor — nothing can beat it.
     done: bool,
 }
@@ -144,10 +139,6 @@ impl Search<'_> {
         if self.steps > self.budget {
             return;
         }
-        if self.cancel.check_stride(&mut self.cancel_count) {
-            self.cancelled = true;
-            return;
-        }
         if depth == self.order.len() {
             self.best = self.best.min(cur_max.max(1));
             // Proven-optimal early exit: at the completion lookahead no
@@ -191,7 +182,7 @@ impl Search<'_> {
                 let i = self.in_sets[cn].iter().position(|&x| x == pc).unwrap();
                 self.in_sets[cn].swap_remove(i);
             }
-            if self.steps > self.budget || self.done || self.cancelled {
+            if self.steps > self.budget || self.done {
                 return;
             }
         }
@@ -208,27 +199,6 @@ pub fn flat_optimal_mii(
     fabric: &DspFabric,
     cfg: &OracleConfig,
 ) -> Option<OracleVerdict> {
-    flat_optimal_mii_seeded(ddg, fabric, cfg, None, &CancelToken::new())
-}
-
-/// [`flat_optimal_mii`] promoted to a portfolio-grade backend: an incumbent
-/// seed plus cooperative cancellation.
-///
-/// `incumbent_load` must be the max-load of a **known-feasible** flat
-/// assignment (seeding an unachievable value would make an `Exact` claim
-/// unsound); the search then explores only strictly better assignments,
-/// which is what makes racing it against a beam result cheap. `cancel` is
-/// polled at branch points ([`CancelToken::check_stride`]) — a fired token
-/// (deadline or external) downgrades the verdict to `Upper`, exactly like
-/// an exhausted step budget, unless the search had already proven its
-/// incumbent optimal (floor hit or completion-lookahead match).
-pub fn flat_optimal_mii_seeded(
-    ddg: &Ddg,
-    fabric: &DspFabric,
-    cfg: &OracleConfig,
-    incumbent_load: Option<u32>,
-    cancel: &CancelToken,
-) -> Option<OracleVerdict> {
     let n = ddg.num_nodes();
     if n == 0 {
         return Some(OracleVerdict::Exact(1));
@@ -238,6 +208,11 @@ pub fn flat_optimal_mii_seeded(
     }
     let mii_rec = analysis::mii_rec(ddg).ok()?;
     let floor = mii_rec.max(fabric.dma.mii_res_mem(ddg)).max(1);
+    // A floor above every possible max-load makes the trivial all-on-one-CN
+    // assignment provably optimal — skip the search entirely.
+    if floor > n as u32 {
+        return Some(OracleVerdict::Exact(floor));
+    }
 
     let mut order: Vec<NodeId> = ddg.node_ids().collect();
     let degree = |v: NodeId| ddg.pred_edges(v).count() + ddg.succ_edges(v).count();
@@ -262,28 +237,16 @@ pub fn flat_optimal_mii_seeded(
         min_load: (n as u32).div_ceil(slots as u32),
         // All nodes on one CN is always feasible (no cross-CN edges), so
         // the incumbent `n` is a genuine upper bound, and `n + 1` makes
-        // the strict `>=` prune admit it. A caller-supplied feasible seed
-        // can only tighten it.
-        best: incumbent_load.map_or(n as u32 + 1, |b| b.min(n as u32 + 1)),
+        // the strict `>=` prune admit it.
+        best: n as u32 + 1,
         steps: 0,
         budget: cfg.step_budget,
-        cancel: cancel.clone(),
-        cancel_count: 0,
-        cancelled: false,
         done: false,
     };
-    // Seeded proven-optimal short-circuit: a feasible incumbent already at
-    // the completion lookahead (or under the floor's shadow) cannot be
-    // beaten — skip the search entirely.
-    if search.best <= search.min_load.max(search.floor) {
-        return Some(OracleVerdict::Exact(
-            search.floor.max(search.best.min(n as u32)),
-        ));
-    }
     search.recurse(0, 0);
     let best_load = search.best.min(n as u32);
     let mii = search.floor.max(best_load);
-    if (search.steps > search.budget || search.cancelled) && !search.done {
+    if search.steps > search.budget && !search.done {
         Some(OracleVerdict::Upper(mii))
     } else {
         Some(OracleVerdict::Exact(mii))
@@ -351,60 +314,6 @@ mod tests {
             flat_optimal_mii(&ddg, &f, &OracleConfig::default()),
             Some(OracleVerdict::Exact(2))
         );
-    }
-
-    #[test]
-    fn cancelled_search_downgrades_to_upper() {
-        // A pre-fired token stops the search at its very first branch
-        // point; the trivial all-on-one-CN incumbent survives as an Upper.
-        let mut b = DdgBuilder::default();
-        for _ in 0..8 {
-            b.node(Opcode::Add);
-        }
-        let ddg = b.finish();
-        let f = DspFabric::standard(8, 8, 8);
-        let token = CancelToken::new();
-        token.cancel();
-        let v = flat_optimal_mii_seeded(&ddg, &f, &OracleConfig::default(), None, &token).unwrap();
-        assert!(matches!(v, OracleVerdict::Upper(_)), "got {v:?}");
-    }
-
-    #[test]
-    fn feasible_seed_at_the_lookahead_short_circuits() {
-        // 8 independent ops on >= 8 CNs: the completion lookahead is 1, so
-        // a seeded max-load of 1 is provably optimal without searching.
-        let mut b = DdgBuilder::default();
-        for _ in 0..8 {
-            b.node(Opcode::Add);
-        }
-        let ddg = b.finish();
-        let f = DspFabric::standard(8, 8, 8);
-        let token = CancelToken::new();
-        token.cancel(); // any actual search would be cut and report Upper
-        let v =
-            flat_optimal_mii_seeded(&ddg, &f, &OracleConfig::default(), Some(1), &token).unwrap();
-        assert_eq!(v, OracleVerdict::Exact(1));
-    }
-
-    #[test]
-    fn seeded_and_unseeded_agree_on_the_optimum() {
-        let mut b = DdgBuilder::default();
-        let ps: Vec<_> = (0..4).map(|_| b.node(Opcode::Add)).collect();
-        let _join = b.op_with(Opcode::Add, &ps);
-        let ddg = b.finish();
-        let f = DspFabric::standard(8, 8, 8);
-        let plain = flat_optimal_mii(&ddg, &f, &OracleConfig::default()).unwrap();
-        // Seed with the feasible all-on-one-CN load (n): same optimum.
-        let seeded = flat_optimal_mii_seeded(
-            &ddg,
-            &f,
-            &OracleConfig::default(),
-            Some(ddg.num_nodes() as u32),
-            &CancelToken::new(),
-        )
-        .unwrap();
-        assert_eq!(plain.mii(), seeded.mii());
-        assert_eq!(seeded, OracleVerdict::Exact(2));
     }
 
     #[test]

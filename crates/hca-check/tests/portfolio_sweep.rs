@@ -4,7 +4,9 @@
 //! * whenever the beam side wins every sub-problem (zero exact wins), the
 //!   portfolio output is **bit-identical** to the beam-alone output —
 //!   placements, MII report, topology wires and materialised primitives;
-//! * both runs pass `ValidationLevel::Strict`.
+//! * both runs pass `ValidationLevel::Strict`;
+//! * the exact-small run is reproducible: re-run with the memo cache off on
+//!   a single worker, it yields the same bits.
 //!
 //! The non-ignored smoke covers a few dozen seeds on every `cargo test`;
 //! the full 300-seed sweep (the number the acceptance criteria name) runs
@@ -15,6 +17,10 @@ use hca_core::{run_hca_obs, HcaConfig, PortfolioConfig};
 use hca_obs::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Serialises the single-worker re-runs: the thread override is
+/// process-global and the smoke and full sweeps share a test binary.
+static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn sweep(count: u64, base_seed: u64, max_nodes: usize) {
     let fabric = hca_arch::DspFabric::two_level(4, 4, 4);
@@ -27,8 +33,6 @@ fn sweep(count: u64, base_seed: u64, max_nodes: usize) {
         let beam = run_hca_obs(&ddg, &fabric, &HcaConfig::strict(), &Obs::disabled())
             .unwrap_or_else(|e| panic!("seed {seed}: beam-only Strict run failed: {e}"));
 
-        // ExactSmall is the deterministic portfolio mode (no deadline), so
-        // the sweep itself is reproducible.
         let cfg = HcaConfig {
             portfolio: PortfolioConfig::exact_small(),
             ..HcaConfig::strict()
@@ -38,6 +42,45 @@ fn sweep(count: u64, base_seed: u64, max_nodes: usize) {
             .unwrap_or_else(|e| panic!("seed {seed}: portfolio Strict run failed: {e}"));
 
         assert!(port.is_legal(), "seed {seed}: illegal portfolio result");
+
+        // The memo cache and the worker count may change how fast the
+        // exact-small answer comes, never which answer.
+        let uncached = {
+            let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            hca_par::set_thread_override(Some(1));
+            let run = run_hca_obs(
+                &ddg,
+                &fabric,
+                &HcaConfig { memo: false, ..cfg },
+                &Obs::disabled(),
+            );
+            hca_par::set_thread_override(None);
+            run.unwrap_or_else(|e| panic!("seed {seed}: uncached portfolio run failed: {e}"))
+        };
+        assert_eq!(
+            uncached.placement, port.placement,
+            "seed {seed}: exact-small placements diverge without memo on 1 thread"
+        );
+        assert_eq!(
+            uncached.mii, port.mii,
+            "seed {seed}: exact-small MII reports diverge without memo on 1 thread"
+        );
+        assert_eq!(
+            uncached.stats, port.stats,
+            "seed {seed}: exact-small stats diverge without memo on 1 thread"
+        );
+        assert_eq!(
+            uncached.final_program.placement, port.final_program.placement,
+            "seed {seed}: exact-small final-program placements diverge without memo on 1 thread"
+        );
+        assert_eq!(
+            uncached.final_program.recv_nodes, port.final_program.recv_nodes,
+            "seed {seed}: exact-small recv primitives diverge without memo on 1 thread"
+        );
+        assert_eq!(
+            uncached.final_program.route_nodes, port.final_program.route_nodes,
+            "seed {seed}: exact-small route primitives diverge without memo on 1 thread"
+        );
         assert!(
             port.mii.final_mii <= beam.mii.final_mii,
             "seed {seed}: portfolio MII {} worse than beam-alone {}",

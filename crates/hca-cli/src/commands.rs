@@ -106,7 +106,7 @@ pub(crate) fn cmd_clusterize(opts: &Options) -> Result<(), String> {
 /// Reproduce the paper's Table 1: run all four multimedia loops through the
 /// best-of-portfolio search and print the markdown table. A non-default
 /// `--solver` replaces the config portfolio with one run under that
-/// sub-problem solver (exact-small or race). With `--metrics-out` the rows
+/// sub-problem solver (exact-small). With `--metrics-out` the rows
 /// (each carrying its run's [`RunMetrics`]) are written as one JSON array;
 /// `--trace-out` writes one trace per kernel, tagged with the kernel name.
 pub(crate) fn cmd_table1(opts: &Options) -> Result<(), String> {

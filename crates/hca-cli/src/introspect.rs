@@ -201,7 +201,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
             let label = match *why {
                 "proven" => "proven optimal (lower bound hit)",
                 "exhausted" => "search space exhausted",
-                "deadline" => "deadline expired",
                 "budget" => "node budget exhausted",
                 other => other,
             };
@@ -280,8 +279,7 @@ struct CaseMetrics {
 /// `hca diff-metrics <A.json> <B.json>`: attribute the wall-clock delta
 /// between two recorded runs to phases and counters. Accepts any of the
 /// repo's dump shapes: a single `RunMetrics`, a `table1 --metrics-out`
-/// row array, a `BenchCase` array, a `bench_gate` `[name, millis]` dump,
-/// or the checked-in `BENCH_baseline.json`.
+/// row array, or a `BenchCase` array.
 pub(crate) fn cmd_diff_metrics(opts: &Options) -> Result<(), String> {
     let (Some(a_path), Some(b_path)) = (opts.target.as_deref(), opts.target2.as_deref()) else {
         return Err("diff-metrics needs two metrics files: hca diff-metrics A.json B.json".into());
@@ -297,7 +295,9 @@ fn load_cases(path: &str) -> Result<Vec<CaseMetrics>, String> {
     let value = serde_json::from_str_value(&text).map_err(|e| format!("{path}: {e}"))?;
     let cases = normalize_cases(&value);
     if cases.is_empty() {
-        return Err(format!("{path}: no recognisable metrics (expected RunMetrics, Table1Row[], BenchCase[], bench_gate dump, or baseline)"));
+        return Err(format!(
+            "{path}: no recognisable metrics (expected RunMetrics, Table1Row[] or BenchCase[])"
+        ));
     }
     Ok(cases)
 }
@@ -307,20 +307,6 @@ fn normalize_cases(v: &Value) -> Vec<CaseMetrics> {
     // Single RunMetrics object.
     if v.field("phases").as_seq().is_some() {
         return vec![case_from_metrics("run".into(), None, v)];
-    }
-    // bench_gate baseline: {tolerance_pct, cases: [{case, millis}]}.
-    if let Some(cases) = v.field("cases").as_seq() {
-        return cases
-            .iter()
-            .filter_map(|c| {
-                Some(CaseMetrics {
-                    name: c.field("case").as_str()?.to_string(),
-                    millis: c.field("millis").as_f64(),
-                    phases: Vec::new(),
-                    counters: Vec::new(),
-                })
-            })
-            .collect();
     }
     let Some(items) = v.as_seq() else {
         return Vec::new();
@@ -332,22 +318,13 @@ fn normalize_cases(v: &Value) -> Vec<CaseMetrics> {
                 // Table1Row: metrics is optional.
                 return Some(case_from_metrics(name.into(), None, item.field("metrics")));
             }
-            if let Some(name) = item.field("case").as_str() {
-                // BenchCase.
-                return Some(case_from_metrics(
-                    name.into(),
-                    item.field("millis").as_f64(),
-                    item.field("metrics"),
-                ));
-            }
-            // bench_gate dump: ["name", millis] pairs.
-            let pair = item.as_seq()?;
-            Some(CaseMetrics {
-                name: pair.first()?.as_str()?.to_string(),
-                millis: pair.get(1)?.as_f64(),
-                phases: Vec::new(),
-                counters: Vec::new(),
-            })
+            // BenchCase.
+            let name = item.field("case").as_str()?;
+            Some(case_from_metrics(
+                name.into(),
+                item.field("millis").as_f64(),
+                item.field("metrics"),
+            ))
         })
         .collect()
 }
@@ -526,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_handles_runmetrics_and_gate_dumps() {
+    fn diff_handles_runmetrics_and_bench_case_dumps() {
         let a = r#"{"phases":[{"phase":"see.level0","calls":2,"wall_us":300}],
                     "counters":[{"name":"see.steps","value":10}],
                     "histograms":[]}"#;
@@ -540,16 +517,19 @@ mod tests {
         assert!(report.contains("-200 us"), "{report}");
         assert!(report.contains("+4"), "{report}");
 
-        let gate = r#"[["fir2dim", 12.5], ["idcthor", 30.0]]"#;
-        let cg = normalize_cases(&serde_json::from_str_value(gate).unwrap());
-        assert_eq!(cg.len(), 2);
-        assert_eq!(cg[0].name, "fir2dim");
-        assert_eq!(cg[0].millis, Some(12.5));
-
-        let baseline = r#"{"tolerance_pct":25.0,"cases":[{"case":"fir2dim","millis":10.0}]}"#;
-        let cbl = normalize_cases(&serde_json::from_str_value(baseline).unwrap());
-        let gate_vs_base = diff_report("base", &cbl, "gate", &cg);
-        assert!(gate_vs_base.contains("+25.0%"), "{gate_vs_base}");
+        let bench = |millis: f64| {
+            format!(
+                r#"[{{"case":"fir2dim","millis":{millis},"metrics":{a}}}, {{"case":"idcthor","millis":30.0}}]"#
+            )
+        };
+        let c1 = normalize_cases(&serde_json::from_str_value(&bench(10.0)).unwrap());
+        assert_eq!(c1.len(), 2);
+        assert_eq!(c1[0].name, "fir2dim");
+        assert_eq!(c1[0].millis, Some(10.0));
+        assert_eq!(c1[0].phases, vec![("see.level0".to_string(), 300)]);
+        let c2 = normalize_cases(&serde_json::from_str_value(&bench(12.5)).unwrap());
+        let report = diff_report("a", &c1, "b", &c2);
+        assert!(report.contains("+25.0%"), "{report}");
     }
 
     #[test]

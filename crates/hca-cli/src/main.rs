@@ -126,9 +126,8 @@ commands:
                                --trace-out saves the raw trace for replay
   diff-metrics <A.json> <B.json>
                                attribute the wall-clock delta between two
-                               metrics dumps (RunMetrics, table1 rows,
-                               BenchCase arrays, bench_gate dumps or
-                               BENCH_baseline.json) to phases and counters
+                               metrics dumps (RunMetrics, table1 rows or
+                               BenchCase arrays) to phases and counters
   serve                        long-running compile daemon: JSON-lines
                                requests over TCP (--bind, default
                                127.0.0.1:7878) or a Unix socket (--socket),
@@ -143,10 +142,10 @@ options:
   --machine N,M,K    MUX capacities of the 64-CN machine (default 8,8,8),
                      or a full hierarchy spec like 2x4x4x4@8,8,8,8
   --portfolio        run the config portfolio, keep the best result
-  --solver MODE      sub-problem solver: beam-only (default), exact-small
-                     (deterministic exact backend on small sub-problems) or
-                     race (exact-small plus a wall-clock deadline); the
-                     result is never worse than beam-only on MII
+  --solver MODE      sub-problem solver: beam-only (default) or exact-small
+                     (exact backend on small sub-problems, cut by a fixed
+                     node budget); both are deterministic, and exact-small
+                     is never worse than beam-only on MII
   --sms              use Swing Modulo Scheduling instead of iterative
   --trip T           iterations to simulate (default 16)
   --unroll F         unroll the loop body F times before everything else
@@ -277,16 +276,13 @@ impl Options {
                 }
                 "--portfolio" => o.portfolio = true,
                 "--solver" => {
-                    let v = it
-                        .next()
-                        .ok_or("--solver needs beam-only|exact-small|race")?;
+                    let v = it.next().ok_or("--solver needs beam-only|exact-small")?;
                     o.solver = match v.as_str() {
                         "beam-only" => PortfolioMode::BeamOnly,
                         "exact-small" => PortfolioMode::ExactSmall,
-                        "race" => PortfolioMode::Race,
                         other => {
                             return Err(format!(
-                                "bad --solver value `{other}` (want beam-only, exact-small or race)"
+                                "bad --solver value `{other}` (want beam-only or exact-small)"
                             ))
                         }
                     };
@@ -490,15 +486,10 @@ impl Options {
     }
 
     /// The [`HcaConfig`] the flags ask for: defaults plus the `--solver`
-    /// portfolio mode (with its mode-specific deadline/budget defaults).
+    /// portfolio mode.
     pub fn hca_config(&self) -> HcaConfig {
-        let portfolio = match self.solver {
-            PortfolioMode::BeamOnly => hca_core::PortfolioConfig::default(),
-            PortfolioMode::ExactSmall => hca_core::PortfolioConfig::exact_small(),
-            PortfolioMode::Race => hca_core::PortfolioConfig::race(),
-        };
         HcaConfig {
-            portfolio,
+            portfolio: hca_core::PortfolioConfig { mode: self.solver },
             ..HcaConfig::default()
         }
     }

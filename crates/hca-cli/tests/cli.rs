@@ -86,6 +86,13 @@ fn bad_inputs_fail_gracefully() {
     let (ok3, _, stderr3) = hca(&["clusterize", "fir8", "--machine", "nope"]);
     assert!(!ok3);
     assert!(!stderr3.is_empty());
+    // The retired wall-clock mode is refused, naming the two real ones.
+    let (ok4, _, stderr4) = hca(&["clusterize", "fir2dim", "--solver", "race"]);
+    assert!(!ok4);
+    assert!(
+        stderr4.contains("beam-only") && stderr4.contains("exact-small"),
+        "{stderr4}"
+    );
 }
 
 #[test]

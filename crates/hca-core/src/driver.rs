@@ -62,52 +62,31 @@ pub enum PortfolioMode {
     /// pre-portfolio driver.
     #[default]
     BeamOnly,
-    /// Beam plus the exact branch-and-bound on sub-problems of at most
-    /// [`PortfolioConfig::exact_max_nodes`] working-set nodes, cut only by
-    /// the deterministic node budget (any configured deadline is ignored),
-    /// so runs are reproducible. Admissible MII floors are shared with the
-    /// beam for the proven-optimal tier skip.
+    /// Beam plus the exact branch-and-bound on sub-problems of at most 12
+    /// working-set nodes, cut only by the deterministic node budget
+    /// ([`hca_see::EXACT_NODE_BUDGET`]), so runs are reproducible. Admissible MII floors are shared with the beam for
+    /// the proven-optimal tier skip.
     ExactSmall,
-    /// [`ExactSmall`](PortfolioMode::ExactSmall) with the wall-clock
-    /// deadline ([`PortfolioConfig::exact_deadline_ms`]) armed as a
-    /// cooperative cancellation safety net: the exact side races the clock
-    /// and concedes to the beam incumbent when it fires. Latency-bounded,
-    /// at the price of run-to-run determinism of the *statistics* (the
-    /// kept result is still always legal and never worse on MII).
-    Race,
 }
 
-/// Per-sub-problem exact/beam portfolio knobs (see [`PortfolioMode`]).
+/// Largest working set (in nodes) the exact backend attempts; beyond it the
+/// search space is hopeless and only the beam runs. Part of the solving
+/// context but not of the memo key: changing it (or
+/// [`hca_see::EXACT_NODE_BUDGET`]) changes cached exact-small results, so
+/// it needs a [`crate::memo::SNAPSHOT_VERSION`] bump.
+pub(crate) const EXACT_MAX_NODES: usize = 12;
+
+/// Per-sub-problem exact/beam portfolio policy (see [`PortfolioMode`]).
 ///
 /// Whatever the mode, the beam runs first and the exact backend only
 /// replaces its result when strictly better on the shared solution score
 /// (`16·MII + copies`), not worse on MII, mappable, and passing
 /// [`hca_pg::ArchConstraints::check`] — so the portfolio's MII is never
 /// worse than beam-alone, and bit-identical to it whenever the beam wins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PortfolioConfig {
     /// Backend selection policy.
     pub mode: PortfolioMode,
-    /// Largest working set (in nodes) the exact backend attempts; beyond
-    /// it the search space is hopeless and only the beam runs.
-    pub exact_max_nodes: usize,
-    /// Deterministic branch-node budget of one exact run (the primary cut;
-    /// machine-independent).
-    pub exact_node_budget: u64,
-    /// Wall-clock deadline in milliseconds per exact run, armed only under
-    /// [`PortfolioMode::Race`]. `0` disarms it even there.
-    pub exact_deadline_ms: u64,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            mode: PortfolioMode::BeamOnly,
-            exact_max_nodes: 12,
-            exact_node_budget: 200_000,
-            exact_deadline_ms: 50,
-        }
-    }
 }
 
 impl PortfolioConfig {
@@ -115,15 +94,6 @@ impl PortfolioConfig {
     pub fn exact_small() -> Self {
         PortfolioConfig {
             mode: PortfolioMode::ExactSmall,
-            ..PortfolioConfig::default()
-        }
-    }
-
-    /// Deadline-raced portfolio ([`PortfolioMode::Race`]).
-    pub fn race() -> Self {
-        PortfolioConfig {
-            mode: PortfolioMode::Race,
-            ..PortfolioConfig::default()
         }
     }
 }
@@ -519,10 +489,7 @@ fn run_hca_inner(
     }
     obs.counter_add("portfolio.guard_runs", 1);
     let beam_cfg = HcaConfig {
-        portfolio: PortfolioConfig {
-            mode: PortfolioMode::BeamOnly,
-            ..config.portfolio
-        },
+        portfolio: PortfolioConfig::default(),
         ..*config
     };
     // The guard run is untraced: a search trace describes one solve, and
@@ -1048,7 +1015,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         drop(fallback_span);
     }
 
-    // Exact backend: on small sub-problems, race the branch-and-bound
+    // Exact backend: on small sub-problems, run the branch-and-bound
     // against the beam incumbent. Seeded with the beam's score it only ever
     // returns strictly better solutions; acceptance additionally requires a
     // no-worse MII, a successful Mapper run and a from-scratch
@@ -1062,29 +1029,19 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             o.est_mii,
         )
     });
-    let pf = &config.portfolio;
     if let Some((beam_score, beam_mii)) = beam_key {
-        if pf.mode != PortfolioMode::BeamOnly
+        if config.portfolio.mode != PortfolioMode::BeamOnly
             && !bound_exit
             && !sp.working_set.is_empty()
-            && sp.working_set.len() <= pf.exact_max_nodes
+            && sp.working_set.len() <= EXACT_MAX_NODES
         {
             obs.counter_add("portfolio.exact_runs", 1);
-            let cancel = if pf.mode == PortfolioMode::Race && pf.exact_deadline_ms > 0 {
-                hca_par::CancelToken::with_deadline(std::time::Duration::from_millis(
-                    pf.exact_deadline_ms,
-                ))
-            } else {
-                hca_par::CancelToken::new()
-            };
             let exact_t0 = trace_on.then(std::time::Instant::now);
             let exact_span = obs.span("see", "exact");
             let exact_see = See::new(ddg, analysis, &pg, constraints, SeeConfig::exhaustive());
             let run = exact_see.run_exact(
                 Some(&sp.working_set),
                 &ExactConfig {
-                    node_budget: pf.exact_node_budget,
-                    cancel,
                     incumbent_score: Some(beam_score),
                     floor: bound.unwrap_or(1),
                     ..ExactConfig::default()
@@ -1093,9 +1050,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             drop(exact_span);
             if let Ok(ex) = run {
                 res.stats.see_states += usize::try_from(ex.nodes_visited).unwrap_or(usize::MAX);
-                if ex.cancelled {
-                    obs.counter_add("portfolio.exact_timeouts", 1);
-                }
                 if ex.mii_proven {
                     obs.counter_add("portfolio.exact_proofs", 1);
                 }
@@ -1146,8 +1100,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                         "proven"
                     } else if ex.exhausted {
                         "exhausted"
-                    } else if ex.cancelled {
-                        "deadline"
                     } else {
                         "budget"
                     };
@@ -1525,7 +1477,7 @@ mod tests {
             a.mii.final_mii,
             beam.mii.final_mii
         );
-        // ExactSmall never arms the deadline: bit-identical replays.
+        // The node budget is the only cut: bit-identical replays.
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.mii, b.mii);
         assert_eq!(a.stats, b.stats);
@@ -1536,7 +1488,7 @@ mod tests {
         let ddg = small_kernel();
         let fabric = DspFabric::standard(8, 8, 8);
         let cfg = HcaConfig {
-            portfolio: PortfolioConfig::race(),
+            portfolio: PortfolioConfig::exact_small(),
             ..HcaConfig::strict()
         };
         let obs = Obs::enabled();

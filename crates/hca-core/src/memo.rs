@@ -24,11 +24,11 @@
 //!   [`SeeConfig`](hca_see::SeeConfig) field (the escalation tiers are pure
 //!   functions of it; the one result-transparent field, `mii_bound`, is
 //!   deliberately exempt — it only reports a proven early exit), the
-//!   issue-cap slack, validation level, the full
-//!   [`PortfolioConfig`](crate::PortfolioConfig) (mode, exact size/budget
-//!   caps and the deadline — a deadline-raced entry must never answer a
-//!   deterministic run), the unified-machine theoretical MII, `MIIRec`,
-//!   and the hierarchy depth;
+//!   issue-cap slack, validation level, the
+//!   [`PortfolioMode`](crate::PortfolioMode) (an exact-small entry must
+//!   never answer a beam-only run; the exact backend's fixed size and node
+//!   caps are covered by [`SNAPSHOT_VERSION`] instead), the
+//!   unified-machine theoretical MII, `MIIRec`, and the hierarchy depth;
 //! * the working set in canonical numbering (nodes renumbered by sorted
 //!   `NodeId` rank; externals by first appearance), including the *given*
 //!   working-set order, per-node opcodes, and full pred/succ edge lists in
@@ -114,11 +114,13 @@ pub(crate) struct CanonSub {
 /// mask; 16 comfortably out-ships the worker counts `hca-par` spawns.
 const NUM_SHARDS: usize = 16;
 
-/// Snapshot schema version. Bump whenever the key encoding or the canonical
-/// value layout changes: [`Memo::load`] rejects (discards) any snapshot
-/// whose version differs, because keys from an older encoding could alias
-/// current ones and rehydrate stale results.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Snapshot schema version. Bump whenever the key encoding, the canonical
+/// value layout, or a solver constant the key leaves out (the driver's
+/// `EXACT_MAX_NODES`, [`hca_see::EXACT_NODE_BUDGET`]) changes:
+/// [`Memo::load`] rejects (discards) any snapshot whose version differs,
+/// because keys from an older encoding could alias current ones and
+/// rehydrate stale results.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Sentinel for "no LRU neighbour".
 const NIL: usize = usize::MAX;
@@ -545,13 +547,9 @@ pub(crate) fn canonicalise(
         config.issue_cap_slack.map_or(u64::MAX, u64::from),
         config.validation as u64,
         // Portfolio context: the exact backend can change a cached subtree
-        // (placements, stats), and a Race entry is deadline-dependent —
-        // the shared `hca serve` cache must never cross-contaminate
-        // solver configurations.
+        // (placements, stats), so the shared `hca serve` cache must never
+        // cross-contaminate solver modes.
         config.portfolio.mode as u64,
-        config.portfolio.exact_max_nodes as u64,
-        config.portfolio.exact_node_budget,
-        config.portfolio.exact_deadline_ms,
         u64::from(theo_mii),
         u64::from(analysis.mii_rec),
         sp.depth() as u64,

@@ -27,87 +27,8 @@ use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Cooperative cancellation for long-running searches.
-///
-/// A token is either manually cancelled ([`CancelToken::cancel`]) or expires
-/// when an optional wall-clock deadline passes. Searches poll it at branch
-/// points with [`CancelToken::check_stride`], which keeps the hot path to a
-/// relaxed atomic load and only consults the clock every `STRIDE` calls —
-/// cheap enough for a branch-and-bound inner loop, and it works sequentially
-/// on a single core (no watcher thread). Clones share the same flag, so one
-/// `cancel()` stops every holder.
-#[derive(Clone, Debug)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
-    }
-}
-
-impl CancelToken {
-    /// Clock polls happen once per this many [`CancelToken::check_stride`]
-    /// calls; in between, only the atomic flag is read.
-    pub const STRIDE: u32 = 1024;
-
-    /// A token that never fires until [`CancelToken::cancel`] is called.
-    pub fn new() -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: None,
-        }
-    }
-
-    /// A token that fires `budget` from now (or when cancelled manually,
-    /// whichever comes first).
-    pub fn with_deadline(budget: Duration) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Instant::now().checked_add(budget),
-        }
-    }
-
-    /// Cancel the token (and every clone sharing its flag).
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has the token been cancelled or its deadline passed? Consults the
-    /// clock when a deadline is set; the result latches into the shared flag
-    /// so later checks are a plain load.
-    pub fn is_cancelled(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.flag.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Stride-checked poll for search hot loops: bumps `count`, reads only
-    /// the atomic flag on most calls, and does the full deadline check every
-    /// [`CancelToken::STRIDE`]-th call.
-    #[inline]
-    pub fn check_stride(&self, count: &mut u32) -> bool {
-        *count = count.wrapping_add(1);
-        if (*count).is_multiple_of(Self::STRIDE) {
-            self.is_cancelled()
-        } else {
-            self.flag.load(Ordering::Relaxed)
-        }
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A worker closure panicked while processing one item.
 ///
@@ -564,38 +485,6 @@ mod tests {
         assert!(parse_hca_threads("four").is_err());
         assert!(parse_hca_threads("-2").is_err());
         assert!(parse_hca_threads("2.5").is_err());
-    }
-
-    #[test]
-    fn cancel_token_manual_cancel_is_shared() {
-        let t = CancelToken::new();
-        let clone = t.clone();
-        assert!(!t.is_cancelled());
-        assert!(!clone.is_cancelled());
-        clone.cancel();
-        assert!(t.is_cancelled());
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn cancel_token_deadline_fires_and_latches() {
-        let t = CancelToken::with_deadline(Duration::from_millis(0));
-        // The zero deadline has already passed; the first full check latches.
-        assert!(t.is_cancelled());
-        // Latched: even a stride-off check sees the flag.
-        let mut n = 0;
-        assert!(t.check_stride(&mut n));
-    }
-
-    #[test]
-    fn cancel_token_far_deadline_does_not_fire() {
-        let t = CancelToken::with_deadline(Duration::from_secs(3600));
-        let mut n = 0;
-        for _ in 0..(CancelToken::STRIDE * 2 + 5) {
-            assert!(!t.check_stride(&mut n));
-        }
-        t.cancel();
-        assert!(t.check_stride(&mut n));
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!    generate isomorphic subtrees — only the lowest-id one is branched.
 //!
 //! The search stops the instant an incumbent hits the shared lower-bound
-//! floor (`16·floor + 0` — an absolute optimality proof), and
-//! cooperatively at branch points via [`hca_par::CancelToken`] or the
-//! deterministic node budget. Determinism: with no deadline on the token,
-//! the visit order and cut point are fixed, so results are reproducible.
+//! floor (`16·floor + 0` — an absolute optimality proof), or when the
+//! deterministic node budget runs out. The visit order and cut point are
+//! fixed, so results are reproducible on any machine.
 //!
 //! Completeness caveat (reported via [`ExactOutcome::exhausted`]): the
 //! search never invokes the Route Allocator, so it covers *direct*
@@ -41,20 +40,20 @@
 use crate::engine::{See, SeeError, SeeOutcome, SeeStats, StatePool};
 use crate::state::PartialState;
 use hca_ddg::{NodeId, PriorityOrder};
-use hca_par::CancelToken;
 use hca_pg::PgNodeId;
+
+/// Default branch-node budget of one exact run, and the one the driver's
+/// exact-small portfolio uses. Not part of the memo key: changing it (or
+/// the driver's `EXACT_MAX_NODES`) changes cached exact-small results, so
+/// it needs an `hca_core::SNAPSHOT_VERSION` bump.
+pub const EXACT_NODE_BUDGET: u64 = 200_000;
 
 /// Driver-facing knobs of one exact run.
 #[derive(Clone, Debug)]
 pub struct ExactConfig {
     /// Deterministic branch-node budget: the search stops (unproven) after
-    /// visiting this many branch points. The primary budget — unlike a
-    /// deadline it cuts at a machine-independent point.
+    /// visiting this many branch points, a machine-independent cut.
     pub node_budget: u64,
-    /// Cooperative cancellation, checked at branch points. Defaults to a
-    /// token that never fires; pass [`CancelToken::with_deadline`] for a
-    /// wall-clock safety net (at the price of run-to-run determinism).
-    pub cancel: CancelToken,
     /// Incumbent seed, usually the beam winner's `16·MII + copies` score.
     /// Only *strictly better* solutions are recorded, so a seeded search
     /// that finds nothing proves nothing new but also costs little.
@@ -71,8 +70,7 @@ pub struct ExactConfig {
 impl Default for ExactConfig {
     fn default() -> Self {
         ExactConfig {
-            node_budget: 200_000,
-            cancel: CancelToken::new(),
+            node_budget: EXACT_NODE_BUDGET,
             incumbent_score: None,
             floor: 1,
             max_roots: 256,
@@ -92,15 +90,13 @@ pub struct ExactOutcome {
     /// The best solution's MII equals the admissible floor — absolute
     /// optimality proof for the MII.
     pub mii_proven: bool,
-    /// The direct-assignment space was fully explored (no budget or
-    /// cancellation cut, root enumeration complete): whatever the best
-    /// known solution is — found here or the incumbent seed — it is
-    /// optimal among direct assignments.
+    /// The direct-assignment space was fully explored (no budget cut,
+    /// root enumeration complete): whatever the best known solution is —
+    /// found here or the incumbent seed — it is optimal among direct
+    /// assignments.
     pub exhausted: bool,
     /// Branch points visited.
     pub nodes_visited: u64,
-    /// The cancellation token fired (deadline or external cancel).
-    pub cancelled: bool,
 }
 
 /// The solution score both portfolio backends optimise: MII dominates,
@@ -120,11 +116,8 @@ struct Dfs<'s, 'a> {
     best: Option<PartialState>,
     nodes: u64,
     budget: u64,
-    cancel: CancelToken,
-    cancel_count: u32,
-    /// Budget or cancellation cut the search.
+    /// The node budget cut the search.
     stopped: bool,
-    cancelled: bool,
     /// An incumbent reached the absolute floor — nothing can beat it.
     done: bool,
     /// `sym[a.index() * pg_nodes + b.index()]`: the PG has an automorphism
@@ -148,11 +141,6 @@ impl<'s, 'a> Dfs<'s, 'a> {
         self.nodes += 1;
         if self.nodes > self.budget {
             self.stopped = true;
-            return;
-        }
-        if self.cancel.check_stride(&mut self.cancel_count) {
-            self.stopped = true;
-            self.cancelled = true;
             return;
         }
         let ctx = &self.see.ctx;
@@ -297,10 +285,7 @@ impl<'a> See<'a> {
             best: None,
             nodes: 0,
             budget: cfg.node_budget.max(1),
-            cancel: cfg.cancel.clone(),
-            cancel_count: 0,
             stopped: false,
-            cancelled: false,
             done: false,
             sym,
             pg_nodes,
@@ -315,7 +300,6 @@ impl<'a> See<'a> {
 
         let exhausted = !dfs.stopped && roots_complete;
         let nodes_visited = dfs.nodes;
-        let cancelled = dfs.cancelled;
         let (outcome, score, mii_proven) = match dfs.best {
             Some(best) => {
                 let est_mii = best.estimated_mii(&self.ctx);
@@ -353,7 +337,6 @@ impl<'a> See<'a> {
             mii_proven,
             exhausted,
             nodes_visited,
-            cancelled,
         })
     }
 }
@@ -414,7 +397,6 @@ mod tests {
             )
             .expect("exact run succeeds");
         assert!(res.exhausted, "tiny space must be fully explored");
-        assert!(!res.cancelled);
         if let Some(out) = &res.outcome {
             // Anything recorded must strictly beat the seed and clear the
             // same legality gate beam results clear.
@@ -476,32 +458,8 @@ mod tests {
         let a = see.run_exact(None, &cfg).unwrap();
         let b = see.run_exact(None, &cfg).unwrap();
         assert!(!a.exhausted, "budget cut must clear the exhausted proof");
-        assert!(!a.cancelled);
         assert_eq!(a.nodes_visited, b.nodes_visited, "cut point is fixed");
         assert_eq!(a.score, b.score, "budget-cut result is deterministic");
-    }
-
-    #[test]
-    fn cancellation_token_stops_the_search() {
-        let ddg = small_kernel();
-        let an = DdgAnalysis::compute(&ddg).unwrap();
-        let pg = Pg::complete(2, ResourceTable::of_cns(1));
-        let cons = constraints(2);
-        let see = crate::See::new(&ddg, &an, &pg, cons, SeeConfig::exhaustive());
-        let cancel = hca_par::CancelToken::new();
-        cancel.cancel();
-        let res = see
-            .run_exact(
-                None,
-                &ExactConfig {
-                    cancel,
-                    ..ExactConfig::default()
-                },
-            )
-            .unwrap();
-        assert!(res.cancelled);
-        assert!(!res.exhausted);
-        assert!(res.outcome.is_none());
     }
 
     #[test]

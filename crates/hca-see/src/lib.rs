@@ -42,7 +42,7 @@ pub use assignable::{node_view, score_if_assignable, NodeView};
 pub use bounds::{mii_lower_bound, MiiLowerBound};
 pub use cost::CostWeights;
 pub use engine::{See, SeeConfig, SeeError, SeeOutcome, SeeStats, STEP_SAMPLE_CAP};
-pub use exact::{solution_score, ExactConfig, ExactOutcome};
+pub use exact::{solution_score, ExactConfig, ExactOutcome, EXACT_NODE_BUDGET};
 pub use filters::CandList;
 pub use route_table::RouteTable;
 pub use state::{PartialState, SeeContext};

@@ -134,28 +134,60 @@ fn see_stats_invariant_holds_at_every_thread_count() {
 }
 
 /// A result served by the `hca serve` daemon must be bit-identical to a
-/// direct `run_hca` call — cache cold *and* cache hot. The protocol digest
-/// covers the sorted placement, the final program's placement, the full MII
-/// report and the search statistics, so matching digests pin matching bits.
+/// direct `run_hca` call — cache cold *and* cache hot, in both solver
+/// modes. The protocol digest covers the sorted placement, the final
+/// program's placement, the full MII report and the search statistics, so
+/// matching digests pin matching bits. The exact-small pass runs fir2dim
+/// and the DSPstone kernels, where exact wins and guard re-runs happen.
 #[test]
 fn served_results_match_direct_runs_cold_and_hot() {
+    let _g = OVERRIDE_LOCK.lock().unwrap();
+    let table1: Vec<&str> = hca_repro::kernels::table1_kernels()
+        .iter()
+        .map(|k| k.name)
+        .collect();
+    assert_served_matches_direct(HcaConfig::default(), &table1);
+    let exact_small = HcaConfig {
+        portfolio: hca_repro::hca::PortfolioConfig::exact_small(),
+        ..HcaConfig::default()
+    };
+    assert_served_matches_direct(
+        exact_small,
+        &[
+            "fir2dim",
+            "fir8",
+            "biquad",
+            "matvec8",
+            "dot_product",
+            "n_real_updates",
+            "convolution",
+            "lms",
+            "matrix1x3",
+        ],
+    );
+}
+
+fn assert_served_matches_direct(hca: HcaConfig, kernels: &[&str]) {
     use hca_serve::{Client, CompileSpec, Server, ServerConfig};
 
-    let _g = OVERRIDE_LOCK.lock().unwrap();
     let fabric = DspFabric::standard(8, 8, 8);
+    let mode = hca.portfolio.mode;
 
     // Direct reference digests, no daemon involved.
-    let direct: Vec<(&'static str, String)> = hca_repro::kernels::table1_kernels()
-        .into_iter()
-        .map(|kernel| {
-            let res = run_hca(&kernel.ddg, &fabric, &HcaConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            let summary = hca_serve::summarise(kernel.name, &kernel.ddg, &res);
-            (kernel.name, summary.digest)
+    let direct: Vec<(&str, String)> = kernels
+        .iter()
+        .map(|&name| {
+            let (_, ddg) = hca_serve::resolve_kernel(name).unwrap();
+            let res = run_hca(&ddg, &fabric, &hca).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, hca_serve::summarise(name, &ddg, &res).digest)
         })
         .collect();
 
-    let server = Server::bind(ServerConfig::default()).expect("bind serve daemon");
+    let server = Server::bind(ServerConfig {
+        hca,
+        ..ServerConfig::default()
+    })
+    .expect("bind serve daemon");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run().expect("serve daemon run"));
     let mut client = Client::connect_tcp(&addr).expect("connect to serve daemon");
@@ -169,18 +201,21 @@ fn served_results_match_direct_runs_cold_and_hot() {
                     kernel: Some((*name).to_string()),
                     ..CompileSpec::default()
                 })
-                .unwrap_or_else(|e| panic!("{name} ({pass}): serve failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name} ({pass}, {mode:?}): serve failed: {e}"));
             assert_eq!(
                 &served.digest, want_digest,
-                "{name}: {pass} served digest diverges from the direct run"
+                "{name}: {pass} served digest diverges from the direct run ({mode:?})"
             );
-            assert!(served.legal, "{name}: {pass} served result illegal");
+            assert!(
+                served.legal,
+                "{name}: {pass} served result illegal ({mode:?})"
+            );
         }
     }
     let stats = client.stats().expect("serve stats");
     assert!(
         stats.memo_hits > 0,
-        "hot pass must hit the shared cache: {stats:?}"
+        "hot pass must hit the shared cache ({mode:?}): {stats:?}"
     );
     client.shutdown().expect("serve shutdown");
     daemon.join().expect("serve daemon thread");
