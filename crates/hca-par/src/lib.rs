@@ -1,8 +1,9 @@
 //! Deterministic data parallelism for the HCA workspace.
 //!
 //! A tiny scoped worker pool over `std::thread` exposing exactly the
-//! patterns the compiler uses — `par_map` (shared input, collected in index
-//! order), `par_map_mut` (contiguous chunks of a mutable slice) and `join`.
+//! patterns the compiler uses: `par_map` (shared input, collected in index
+//! order) for the driver's sibling sub-problems, and `try_par_map` (the
+//! same, with per-item panic isolation) for the serve daemon's batches.
 //! The design contract is **determinism**: every function returns results
 //! in input order, so callers that merge sequentially afterwards produce
 //! bit-identical output whatever the thread count. Thread scheduling only
@@ -10,15 +11,14 @@
 //!
 //! Thread count resolution, in precedence order:
 //!
-//! 1. the `sequential` cargo feature (compile-time kill switch),
-//! 2. [`set_thread_override`] (programmatic, used by determinism tests),
-//! 3. the `HCA_THREADS` environment variable (read once per process),
-//! 4. [`std::thread::available_parallelism`].
+//! 1. [`set_thread_override`] (programmatic, used by determinism tests),
+//! 2. the `HCA_THREADS` environment variable (read once per process),
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Nested calls run inline: a worker thread that itself calls `par_map`
 //! executes sequentially instead of spawning threads-under-threads. The
-//! HCA driver parallelises sibling sub-problems at the top and each SEE
-//! beam expansion below it — without this rule the fan-out would be
+//! HCA driver recurses through the decomposition tree and fans out each
+//! level's siblings — without this rule the fan-out would be
 //! multiplicative.
 
 #![forbid(unsafe_code)]
@@ -80,9 +80,8 @@ thread_local! {
 }
 
 /// Force the pool width programmatically (`None` restores the environment
-/// default). Takes precedence over `HCA_THREADS`; the `sequential` feature
-/// still wins. Used by determinism tests to compare 1-thread and N-thread
-/// runs inside one process.
+/// default). Takes precedence over `HCA_THREADS`. Used by determinism tests
+/// to compare 1-thread and N-thread runs inside one process.
 pub fn set_thread_override(threads: Option<usize>) {
     OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
 }
@@ -104,9 +103,6 @@ fn parse_hca_threads(raw: &str) -> Result<usize, String> {
 
 /// The configured pool width (≥ 1).
 pub fn configured_threads() -> usize {
-    if cfg!(feature = "sequential") {
-        return 1;
-    }
     let o = OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
@@ -249,78 +245,6 @@ where
         .collect()
 }
 
-/// Map `f` over exclusive references into `items`, collecting results in
-/// input order. The slice is split into contiguous chunks, one per worker,
-/// so no synchronisation guards the mutable accesses; chunk results are
-/// concatenated positionally. Same inline/nesting/panic rules as
-/// [`par_map`].
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let threads = effective_threads(items.len());
-    if threads <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let f = &f;
-    let per_chunk: Vec<Result<Vec<R>, Payload>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    catch_unwind(AssertUnwindSafe(|| {
-                        chunk.iter_mut().map(f).collect::<Vec<R>>()
-                    }))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker cannot panic"))
-            .collect()
-    });
-    // Chunks are contiguous, so the first erring chunk holds the panic of
-    // the lowest input index — propagate that one deterministically.
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in per_chunk {
-        match chunk {
-            Ok(rs) => out.extend(rs),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if effective_threads(2) <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let ha = scope.spawn(|| {
-            IN_WORKER.with(|w| w.set(true));
-            catch_unwind(AssertUnwindSafe(a))
-        });
-        let rb = catch_unwind(AssertUnwindSafe(b));
-        let ra = ha.join().unwrap_or_else(|payload| Err(payload));
-        // `a` first, matching the inline `(a(), b())` evaluation order, so
-        // which payload propagates is independent of the thread count.
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,20 +259,6 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let out = par_map(&items, |&x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<u64>>());
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn par_map_mut_mutates_and_preserves_order() {
-        let _g = LOCK.lock().unwrap();
-        set_thread_override(Some(3));
-        let mut items: Vec<u64> = (0..100).collect();
-        let out = par_map_mut(&mut items, |x| {
-            *x += 1;
-            *x * 10
-        });
-        assert_eq!(items, (1..=100).collect::<Vec<u64>>());
-        assert_eq!(out, (1..=100).map(|x| x * 10).collect::<Vec<u64>>());
         set_thread_override(None);
     }
 
@@ -378,15 +288,6 @@ mod tests {
             par_map(&inner, move |&j| i * 10 + j)
         });
         assert_eq!(out[1], vec![10, 11, 12, 13]);
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let _g = LOCK.lock().unwrap();
-        set_thread_override(Some(2));
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
         set_thread_override(None);
     }
 

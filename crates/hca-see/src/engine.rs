@@ -105,9 +105,8 @@ impl std::error::Error for SeeError {}
 /// churn into `clone_from` onto a retired state's buffers, so the steady
 /// state of the main loop performs no state-sized allocations at all.
 ///
-/// All arena traffic runs in the sequential sections of the engine, so the
-/// high-water footprint (reported as `see.state_arena_bytes`) is
-/// deterministic and thread-count invariant.
+/// A SEE run steps its beam on one thread, so the high-water footprint
+/// (reported as `see.state_arena_bytes`) is deterministic.
 #[derive(Default)]
 pub(crate) struct StatePool {
     free: Vec<PartialState>,
@@ -363,11 +362,13 @@ impl<'a> See<'a> {
             let mut top_cands: Vec<(u32, f64)> = Vec::new();
             let mut rescued_step = false;
             // Score every (state, cluster) candidate without cloning the
-            // state. Frontier states are independent; each hca-par worker
-            // owns a contiguous chunk and results come back in input order,
-            // so the merge below is scheduling-independent.
-            let scored: Vec<(CandList, CandidatePruning)> =
-                hca_par::par_map_mut(&mut frontier, |st| {
+            // state, one frontier state after another on this thread. A
+            // step is too small to pay for a thread spawn (at most
+            // `beam_width` states, each scoring a handful of clusters);
+            // parallelism lives one level up, across sibling sub-problems.
+            let scored: Vec<(CandList, CandidatePruning)> = frontier
+                .iter_mut()
+                .map(|st| {
                     // Operand/result placements are candidate-independent:
                     // read them once per state, not once per cluster probe.
                     // The view's bitmask AND already folded every static
@@ -407,7 +408,8 @@ impl<'a> See<'a> {
                     }
                     let pruning = cand_filter.apply(&mut cands);
                     (cands, pruning)
-                });
+                })
+                .collect();
 
             // Merge deterministically as (parent, cluster, cost) tuples, in
             // (frontier order, per-state candidate order).
@@ -430,9 +432,12 @@ impl<'a> See<'a> {
                 // performs zero state clones. A state the router cannot
                 // rescue comes back bit-identical (rolled back) and retires
                 // to the arena.
-                let ok: Vec<bool> = hca_par::par_map_mut(&mut frontier, |st| {
-                    route_assign_commit(&self.ctx, &self.rt, st, n, self.config.max_route_hops)
-                });
+                let ok: Vec<bool> = frontier
+                    .iter_mut()
+                    .map(|st| {
+                        route_assign_commit(&self.ctx, &self.rt, st, n, self.config.max_route_hops)
+                    })
+                    .collect();
                 let mut rescued: Vec<PartialState> = Vec::with_capacity(frontier.len());
                 for (st, ok) in frontier.drain(..).zip(ok) {
                     if ok {
@@ -537,8 +542,7 @@ impl<'a> See<'a> {
         let best = frontier.swap_remove(best_idx);
         stats.routed_hops = best.routed_hops;
         // Fold the run's routing counters in. Each skip/search event happens
-        // deterministically per candidate regardless of which worker
-        // evaluates it, so these sums are thread-count invariant.
+        // deterministically per candidate, so these sums are reproducible.
         let (bfs_runs, cache_hits) = self.rt.take_counters();
         stats.route_bfs_runs = bfs_runs;
         stats.route_cache_hits = cache_hits;
@@ -957,31 +961,34 @@ impl<'a> See<'a> {
             beam_width: self.config.beam_width,
         };
         for (o, values) in grouped {
-            // Frontier states are independent; trial each one's candidate
-            // feeders *in place* (journalled + rolled back — no clone per
-            // trial) in parallel, keeping only the winning feeder ids.
-            let kept: Vec<Vec<PgNodeId>> = hca_par::par_map_mut(&mut frontier, |st| {
-                // Unary fan-in: if the wire already has a feeder, it is the
-                // only admissible forwarder; otherwise fork over the best
-                // few choices for beam diversity.
-                let candidates: Vec<PgNodeId> = if st.in_neighbors.is_empty(o.index()) {
-                    self.ctx.pg.cluster_ids().collect()
-                } else {
-                    st.in_neighbors.iter(o.index()).collect()
-                };
-                let mut trials: Vec<(PgNodeId, f64)> = Vec::new();
-                for c in candidates {
-                    if !self.ctx.pg.node(c).kind.is_cluster() {
-                        continue;
+            // Trial each frontier state's candidate feeders *in place*
+            // (journalled + rolled back — no clone per trial), keeping only
+            // the winning feeder ids.
+            let kept: Vec<Vec<PgNodeId>> = frontier
+                .iter_mut()
+                .map(|st| {
+                    // Unary fan-in: if the wire already has a feeder, it is the
+                    // only admissible forwarder; otherwise fork over the best
+                    // few choices for beam diversity.
+                    let candidates: Vec<PgNodeId> = if st.in_neighbors.is_empty(o.index()) {
+                        self.ctx.pg.cluster_ids().collect()
+                    } else {
+                        st.in_neighbors.iter(o.index()).collect()
+                    };
+                    let mut trials: Vec<(PgNodeId, f64)> = Vec::new();
+                    for c in candidates {
+                        if !self.ctx.pg.node(c).kind.is_cluster() {
+                            continue;
+                        }
+                        if let Some(cost) = self.forward_values_via(st, o, &values, c, true) {
+                            trials.push((c, cost));
+                        }
                     }
-                    if let Some(cost) = self.forward_values_via(st, o, &values, c, true) {
-                        trials.push((c, cost));
-                    }
-                }
-                trials.sort_by(|a, b| a.1.total_cmp(&b.1));
-                trials.truncate(self.config.branch_factor.max(1));
-                trials.into_iter().map(|(c, _)| c).collect()
-            });
+                    trials.sort_by(|a, b| a.1.total_cmp(&b.1));
+                    trials.truncate(self.config.branch_factor.max(1));
+                    trials.into_iter().map(|(c, _)| c).collect()
+                })
+                .collect();
             // Materialise in (frontier order, per-state cost order) — the
             // exact concatenation order the cloned trials arrived in. The
             // last kept feeder takes the parent by move; earlier ones copy

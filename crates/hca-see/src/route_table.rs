@@ -27,14 +27,13 @@
 //! queue entries block port-expensive short paths from overwriting shared
 //! prefixes. Do not add it.)
 //!
-//! The table also owns the run's routing counters. They are atomics so the
-//! parallel frontier workers can bump them without synchronisation; each
-//! skip/run event happens deterministically per candidate regardless of
-//! which worker evaluates it, so the *totals* are thread-count invariant
-//! and safe to compare in the determinism tests.
+//! The table also owns the run's routing counters. A SEE run steps its beam
+//! on one thread, so they are plain cells bumped through `&self`; each
+//! skip/run event happens deterministically per candidate, so the totals
+//! are safe to compare in the determinism tests.
 
 use hca_pg::{Pg, PgNodeId};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Unreachable marker in the packed distance matrix.
 const INF: u16 = u16::MAX;
@@ -48,10 +47,10 @@ pub struct RouteTable {
     /// Row-major `n × n` hop distances; `INF` = statically unreachable.
     dist: Vec<u16>,
     /// Dynamic admissible-path searches actually executed.
-    bfs_runs: AtomicUsize,
+    bfs_runs: Cell<usize>,
     /// Queries answered (or candidates rejected) from the static table
     /// without running a search.
-    cache_hits: AtomicUsize,
+    cache_hits: Cell<usize>,
 }
 
 impl RouteTable {
@@ -90,8 +89,8 @@ impl RouteTable {
         RouteTable {
             n,
             dist,
-            bfs_runs: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
+            bfs_runs: Cell::new(0),
+            cache_hits: Cell::new(0),
         }
     }
 
@@ -118,22 +117,19 @@ impl RouteTable {
     /// Record one executed admissible-path search.
     #[inline]
     pub(crate) fn count_bfs(&self) {
-        self.bfs_runs.fetch_add(1, Ordering::Relaxed);
+        self.bfs_runs.set(self.bfs_runs.get() + 1);
     }
 
     /// Record one query answered from the static table alone.
     #[inline]
     pub(crate) fn count_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.cache_hits.set(self.cache_hits.get() + 1);
     }
 
     /// Drain the `(bfs_runs, cache_hits)` counters, resetting them to zero
     /// — called once at the end of a run to fold them into `SeeStats`.
     pub fn take_counters(&self) -> (usize, usize) {
-        (
-            self.bfs_runs.swap(0, Ordering::Relaxed),
-            self.cache_hits.swap(0, Ordering::Relaxed),
-        )
+        (self.bfs_runs.take(), self.cache_hits.take())
     }
 
     /// Approximate heap footprint of the table: the packed `n × n`

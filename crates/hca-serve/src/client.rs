@@ -2,7 +2,9 @@
 //! `bench_serve` load generator, the serve round-trip tests, and the CI
 //! job. One connection, synchronous call/response.
 
-use crate::protocol::{CompileSpec, CompileSummary, ItemResult, Request, Response, StatsReport};
+use crate::protocol::{
+    write_line, CompileSpec, CompileSummary, ItemResult, Request, Response, StatsReport,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -17,9 +19,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect over TCP (`ip:port`).
+    /// Connect over TCP (`ip:port`), with Nagle's algorithm off: a request
+    /// is one complete line and should leave at once.
     pub fn connect_tcp(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(Box::new(reader)),
@@ -45,9 +49,7 @@ impl Client {
         req.id = self.next_id;
         self.next_id += 1;
         let line = serde_json::to_string(&req).map_err(|e| e.to_string())?;
-        writeln!(self.writer, "{line}")
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
+        write_line(&mut self.writer, &line).map_err(|e| format!("send: {e}"))?;
         let mut resp_line = String::new();
         loop {
             match self.reader.read_line(&mut resp_line) {

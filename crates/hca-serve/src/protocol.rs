@@ -21,10 +21,27 @@
 //!
 //! A malformed line still gets a response (`ok:false`, `id:0` when the id
 //! could not be parsed) — a daemon must never answer garbage with silence.
+//!
+//! [`Client`](crate::Client) sends each request with `write_line`: one
+//! write per line, so the newline never trails in a second TCP segment
+//! that waits out the peer's delayed ACK.
 
 use hca_core::HcaResult;
 use hca_ddg::Ddg;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
+
+/// Send one protocol line: `body` and its `\n` terminator go out in a
+/// single `write_all`, then the writer is flushed. On an unbuffered socket
+/// `writeln!` would issue two writes, and the lone trailing newline stalls
+/// until the peer's delayed ACK (~40 ms on Linux).
+pub(crate) fn write_line(w: &mut impl Write, body: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(body.len() + 1);
+    buf.extend_from_slice(body.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)?;
+    w.flush()
+}
 
 /// One request line. `op` selects the operation; the remaining fields are
 /// op-specific and ignored elsewhere.
@@ -255,6 +272,40 @@ mod tests {
         let back = serde_json::to_string(&req).unwrap();
         let again: Request = serde_json::from_str(&back).unwrap();
         assert_eq!(again.job.kernel.as_deref(), Some("fir2dim"));
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_line_in_one_write() {
+        let mut w = RecordingWriter::default();
+        let lines = [
+            r#"{"id":1,"op":"ping"}"#,
+            r#"{"id":2,"ok":true,"result":"pong"}"#,
+        ];
+        for line in lines {
+            write_line(&mut w, line).unwrap();
+        }
+        assert_eq!(w.writes.len(), lines.len(), "one write call per line");
+        for (sent, line) in w.writes.iter().zip(lines) {
+            assert_eq!(sent, format!("{line}\n").as_bytes());
+            assert_eq!(sent.iter().filter(|&&b| b == b'\n').count(), 1);
+        }
     }
 
     #[test]
