@@ -18,6 +18,14 @@ use std::fmt::Write as _;
 /// kernel; anything else resolves like every other command's target.
 /// `--trace-out` saves the captured raw trace for later replay.
 pub(crate) fn cmd_explain(opts: &Options) -> Result<(), String> {
+    // A trace describes one solve under one configuration; the config sweep
+    // runs five, so honouring the rest of the options while dropping this
+    // one would explain a run the user did not ask about.
+    if opts.portfolio {
+        return Err("explain does not support --portfolio: it traces one \
+                    configuration, not the config sweep"
+            .into());
+    }
     let target = opts.target.as_deref().unwrap_or("");
     let (title, records) = if target.ends_with(".jsonl") && std::path::Path::new(target).is_file() {
         (target.to_string(), trace::read_jsonl_file(target)?)

@@ -93,6 +93,11 @@ fn bad_inputs_fail_gracefully() {
         stderr4.contains("beam-only") && stderr4.contains("exact-small"),
         "{stderr4}"
     );
+    // explain traces one configuration, so it refuses the config sweep
+    // instead of explaining a different run.
+    let (ok5, _, stderr5) = hca(&["explain", "dot_product", "--portfolio"]);
+    assert!(!ok5);
+    assert!(stderr5.contains("--portfolio"), "{stderr5}");
 }
 
 #[test]

@@ -304,14 +304,7 @@ impl HcaResult {
 /// assert_eq!(result.placement.len(), ddg.num_nodes());
 /// ```
 pub fn run_hca(ddg: &Ddg, fabric: &DspFabric, config: &HcaConfig) -> Result<HcaResult, HcaError> {
-    // Legacy escape hatch: HCA_TRACE=1 (or 2, for wire dumps) routes the
-    // driver's diagnostic events to stderr through a throwaway observer.
-    let obs = if std::env::var_os("HCA_TRACE").is_some() {
-        Obs::stderr_logger()
-    } else {
-        Obs::disabled()
-    };
-    run_hca_obs(ddg, fabric, config, &obs)
+    run_hca_obs(ddg, fabric, config, &Obs::disabled())
 }
 
 /// SEE phase label for a hierarchy level (static so disabled spans stay
@@ -409,9 +402,10 @@ fn merge_stats(into: &mut HcaStats, from: &HcaStats) {
 
 /// [`run_hca`] with explicit observability: phase spans (decomposition,
 /// per-level SEE, mapper, materialisation, coherency, MII), the SEE /
-/// mapper / coherency counters, and structured diagnostic events replacing
-/// the old `HCA_TRACE` `eprintln!`s. With a disabled [`Obs`] every hook is
-/// a no-op branch and the run behaves exactly like [`run_hca`].
+/// mapper / coherency counters, and structured diagnostic events (tier
+/// failures, fallbacks, failing sub-problems; `hca -v` prints them). With
+/// a disabled [`Obs`] every hook is a no-op branch and the run behaves
+/// exactly like [`run_hca`].
 pub fn run_hca_obs(
     ddg: &Ddg,
     fabric: &DspFabric,
@@ -673,9 +667,10 @@ fn run_hca_once(
 
 /// Solve sub-problem `sp` and its whole subtree: run the SEE escalation
 /// ladder and the Mapper at this level, then recurse into the child
-/// sub-problems — in parallel, they are independent. Returns the subtree's
-/// contribution to the final result; see [`SubResult`] for the determinism
-/// contract.
+/// sub-problems. Beam-only ladders run their tiers concurrently and the
+/// children run concurrently — both are independent searches, folded or
+/// merged in a fixed order. Returns the subtree's contribution to the
+/// final result; see [`SubResult`] for the determinism contract.
 fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, HcaError> {
     let SolveCtx {
         ddg,
@@ -808,31 +803,57 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             ..base
         },
     ];
-    // Run every tier and keep the best mapped result — tiers are cheap
-    // (sub-problems are tiny) and which strategy wins varies per
-    // sub-problem.
+    let elapsed_ns = |t0: Option<std::time::Instant>| {
+        t0.map_or(0, |t| {
+            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        })
+    };
+    // One tier: SEE on the working set, then the Mapper on its assignment,
+    // timed for the trace. It opens its SEE span on whichever pool thread
+    // runs it, so `see.level*` time is SEE busy time summed over threads.
+    let run_tier = |tier: usize| {
+        let t0 = trace_on.then(std::time::Instant::now);
+        let _see_span = obs.span("see", level_phase(d));
+        let mut see = See::new(ddg, analysis, &pg, constraints, tiers[tier]);
+        if trace_on {
+            see = see.with_tracer(tracer.scoped(&sp.id(), d as u32, tier as u32));
+        }
+        let run = see.run(Some(&sp.working_set)).map(|outcome| {
+            let mapped = map_level_obs(&outcome.assigned, spec, opts, obs);
+            (outcome, mapped)
+        });
+        (run, elapsed_ns(t0))
+    };
+    // Without a bound nothing can end the ladder early, so every tier runs:
+    // compute them all up front on the pool, widest beam first so the
+    // longest runs start earliest, and hand them to the fold in tier
+    // order. With a bound, tiers run one at a time so a proven-optimal
+    // exit still skips the rest.
+    let mut eager = bound.is_none().then(|| {
+        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        order.sort_by_key(|&t| std::cmp::Reverse(tiers[t].beam_width * tiers[t].branch_factor));
+        let runs = hca_par::par_map(&order, |&t| run_tier(t));
+        let mut by_tier: Vec<_> = order.into_iter().zip(runs).collect();
+        by_tier.sort_unstable_by_key(|&(t, _)| t);
+        by_tier.into_iter().map(|(_, run)| run)
+    });
+    // Fold every tier in tier order and keep the best mapped result —
+    // which strategy wins varies per sub-problem.
     let mut winner_tier: u32 = FALLBACK_TIER;
     // Set when a tier winner provably reached the global score minimum
     // (bound sharing): the remaining tiers — and the exact backend — have
     // nothing left to win.
     let mut bound_exit = false;
-    let see_span = obs.span("see", level_phase(d));
-    for (tier, see_cfg) in tiers.into_iter().enumerate() {
-        let tier_t0 = trace_on.then(std::time::Instant::now);
-        let elapsed_ns = |t0: Option<std::time::Instant>| {
-            t0.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            })
+    for tier in 0..tiers.len() {
+        let (run, ns) = match &mut eager {
+            Some(runs) => runs.next().expect("one run per tier"),
+            None => run_tier(tier),
         };
-        let mut see = See::new(ddg, analysis, &pg, constraints, see_cfg);
-        if trace_on {
-            see = see.with_tracer(tracer.scoped(&sp.id(), d as u32, tier as u32));
-        }
-        let outcome = match see.run(Some(&sp.working_set)) {
-            Ok(o) => o,
+        let (outcome, mapped) = match run {
+            Ok(pair) => pair,
             Err(source) => {
                 if trace_on {
-                    let (ns, msg) = (elapsed_ns(tier_t0), source.to_string());
+                    let msg = source.to_string();
                     tracer.record(|| TraceRecord {
                         kind: kind::TIER.to_string(),
                         problem: sp.id(),
@@ -863,10 +884,9 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         };
         res.stats.see_states += outcome.stats.states_explored;
         record_see_stats(obs, &outcome.stats);
-        match map_level_obs(&outcome.assigned, spec, opts, obs) {
+        match mapped {
             Ok(mapped) => {
                 if trace_on {
-                    let ns = elapsed_ns(tier_t0);
                     let (bfs, hits) = (
                         outcome.stats.route_bfs_runs as u64,
                         outcome.stats.route_cache_hits as u64,
@@ -926,7 +946,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
             Err(source) => {
                 if trace_on {
-                    let (ns, msg) = (elapsed_ns(tier_t0), format!("map: {source}"));
+                    let msg = format!("map: {source}");
                     tracer.record(|| TraceRecord {
                         kind: kind::TIER.to_string(),
                         problem: sp.id(),
@@ -945,14 +965,13 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
         }
     }
-    drop(see_span);
     // Completion backstop: the deterministic chain layout (see
     // `See::chain_fallback`) — legal whenever the consumed wires fit,
     // at terrible MII, so only the search's rare dead-ends pay it.
     if solved.is_none() {
         obs.counter_add("driver.fallbacks", 1);
         obs.log("driver", "fallback", || {
-            let mut msg = format!(
+            format!(
                 "chain fallback at {} (ws {}, ili {}in/{}out): {}",
                 sp.id(),
                 sp.working_set.len(),
@@ -961,16 +980,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 attempt_err
                     .as_ref()
                     .map_or_else(|| "?".into(), ToString::to_string),
-            );
-            if std::env::var("HCA_TRACE").as_deref() == Ok("2") {
-                for (i, w) in sp.ili.inputs.iter().enumerate() {
-                    msg.push_str(&format!("\n  in[{i}]: {:?}", w.values));
-                }
-                for (i, w) in sp.ili.outputs.iter().enumerate() {
-                    msg.push_str(&format!("\n  out[{i}]: {:?}", w.values));
-                }
-            }
-            msg
+            )
         });
         let fallback_span = obs.span("driver", "fallback");
         let see = See::new(ddg, analysis, &pg, constraints, config.see);
@@ -1093,9 +1103,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                     }
                 }
                 if trace_on {
-                    let ns = exact_t0.map_or(0, |t| {
-                        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    });
+                    let ns = elapsed_ns(exact_t0);
                     let why = if ex.mii_proven {
                         "proven"
                     } else if ex.exhausted {
@@ -1123,19 +1131,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                         ..TraceRecord::default()
                     });
                 }
-            }
-        }
-    }
-
-    if let Some((outcome, _)) = &solved {
-        // Flow re-verification is a debugging aid, not a pipeline stage:
-        // it stays behind the HCA_TRACE gate (an enabled observer alone
-        // must not change what work the driver performs).
-        if obs.is_enabled() && std::env::var_os("HCA_TRACE").is_some() {
-            for err in outcome.assigned.check_flow(ddg, &sp.working_set) {
-                obs.log("driver", "flow_violation", || {
-                    format!("flow violation at {}: {err}", sp.id())
-                });
             }
         }
     }

@@ -85,14 +85,6 @@ impl Obs {
         }
     }
 
-    /// An enabled observer that logs instants and messages to stderr — the
-    /// replacement for ad-hoc `HCA_TRACE` / `SMS_TRACE` `eprintln!`s.
-    pub fn stderr_logger() -> Self {
-        let obs = Self::enabled();
-        obs.add_sink(Box::new(StderrSink::logs_only()));
-        obs
-    }
-
     /// Is this handle collecting anything?
     #[inline]
     pub fn is_enabled(&self) -> bool {

@@ -3,8 +3,7 @@
 //! * [`JsonlSink`] — one JSON object per line, streamable, `tail -f`-able.
 //! * [`ChromeTraceSink`] — a `chrome://tracing` / Perfetto-compatible
 //!   `trace_event` JSON file, written on flush.
-//! * [`StderrSink`] — human-readable lines, used by `-v` and the legacy
-//!   `HCA_TRACE` / `SMS_TRACE` environment switches.
+//! * [`StderrSink`] — human-readable lines, used by `hca -v`.
 //! * [`MemorySink`] — in-process buffer for tests.
 
 use crate::event::{ArgValue, Event};
@@ -24,35 +23,19 @@ pub trait PipelineObserver: Send {
     fn flush(&mut self) {}
 }
 
-/// Human-readable stderr logging.
-pub struct StderrSink {
-    /// When false, span-completion events are suppressed (logs/instants only).
-    pub spans: bool,
-}
+/// Human-readable stderr logging: every event, spans included.
+#[derive(Default)]
+pub struct StderrSink;
 
 impl StderrSink {
-    /// Log everything, spans included.
+    /// A stderr sink.
     pub fn new() -> Self {
-        StderrSink { spans: true }
-    }
-
-    /// Log only instants and messages — the `HCA_TRACE` replacement.
-    pub fn logs_only() -> Self {
-        StderrSink { spans: false }
-    }
-}
-
-impl Default for StderrSink {
-    fn default() -> Self {
-        Self::new()
+        StderrSink
     }
 }
 
 impl PipelineObserver for StderrSink {
     fn on_event(&mut self, event: &Event) {
-        if event.dur_us.is_some() && !self.spans {
-            return;
-        }
         let mut line = format!("[{}.{}]", event.phase, event.name);
         if let Some(dur) = event.dur_us {
             line.push_str(&format!(" {dur}us"));

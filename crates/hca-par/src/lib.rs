@@ -2,29 +2,34 @@
 //!
 //! A tiny scoped worker pool over `std::thread` exposing exactly the
 //! patterns the compiler uses: `par_map` (shared input, collected in index
-//! order) for the driver's sibling sub-problems, and `try_par_map` (the
-//! same, with per-item panic isolation) for the serve daemon's batches.
-//! The design contract is **determinism**: every function returns results
-//! in input order, so callers that merge sequentially afterwards produce
-//! bit-identical output whatever the thread count. Thread scheduling only
-//! decides *who* computes an element, never *where* its result lands.
+//! order) for the driver's escalation tiers and sibling sub-problems, and
+//! `try_par_map` (the same, with per-item panic isolation) for the serve
+//! daemon's batches. The design contract is **determinism**: every
+//! function returns results in input order, so callers that merge
+//! sequentially afterwards produce bit-identical output whatever the thread
+//! count. Thread scheduling only decides *who* computes an element, never
+//! *where* its result lands.
 //!
 //! Thread count resolution, in precedence order:
 //!
 //! 1. [`set_thread_override`] (programmatic, used by determinism tests),
 //! 2. the `HCA_THREADS` environment variable (read once per process),
-//! 3. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`] (read once per process: it
+//!    reads cgroup files, tens of microseconds per call, and every map
+//!    consults the width).
 //!
-//! Nested calls run inline: a worker thread that itself calls `par_map`
-//! executes sequentially instead of spawning threads-under-threads. The
-//! HCA driver recurses through the decomposition tree and fans out each
-//! level's siblings — without this rule the fan-out would be
-//! multiplicative.
+//! Helper budget: a pool of width `w` lends at most `w − 1` helper threads
+//! at a time, process-wide. A map claims `min(len − 1, free)` of them, and
+//! its calling thread drains the same work cursor as its helpers, so a map
+//! that finds no free helper simply runs on its caller. A helper hands its
+//! permit back as soon as the cursor runs dry, so a nested map that starts
+//! later — say inside the largest sibling's subtree, on whichever thread
+//! still has work — can claim it. However deep maps nest, one caller never
+//! has more than `w` threads working for it.
 
 #![forbid(unsafe_code)]
 
 use std::any::Any;
-use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,10 +79,12 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// `HCA_THREADS`, parsed once per process.
 static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
-thread_local! {
-    /// Set inside pool workers so nested calls degrade to inline execution.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
+/// [`std::thread::available_parallelism`], read once per process.
+static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// Helper threads currently lent out, process-wide; at most
+/// [`configured_threads`] − 1.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Force the pool width programmatically (`None` restores the environment
 /// default). Takes precedence over `HCA_THREADS`. Used by determinism tests
@@ -123,23 +130,40 @@ pub fn configured_threads() -> usize {
         Err(_) => None,
     });
     env.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        *HOST_THREADS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     })
 }
 
-/// Is the current thread already inside a pool worker?
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
+/// Claim up to `want` helper permits from the budget of
+/// `configured_threads() − 1`; fewer (or none) when the budget is short.
+fn claim_helpers(want: usize) -> Vec<Permit> {
+    let budget = configured_threads() - 1;
+    let mut lent = HELPERS.load(Ordering::SeqCst);
+    loop {
+        let grant = want.min(budget.saturating_sub(lent));
+        if grant == 0 {
+            return Vec::new();
+        }
+        match HELPERS.compare_exchange_weak(lent, lent + grant, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => return (0..grant).map(|_| Permit).collect(),
+            Err(now) => lent = now,
+        }
+    }
 }
 
-/// Threads that would actually be spawned for `len` items right now.
-fn effective_threads(len: usize) -> usize {
-    if len < 2 || in_worker() {
-        1
-    } else {
-        configured_threads().min(len)
+/// One claimed helper permit, returned to the budget on drop — also when
+/// the helper that owns it is never spawned. Only [`claim_helpers`] makes
+/// them.
+struct Permit;
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        HELPERS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -156,51 +180,59 @@ where
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let threads = effective_threads(items.len());
     let run_one = |item: &'a T| catch_unwind(AssertUnwindSafe(|| f(item)));
-    if threads <= 1 {
+    let permits = claim_helpers(items.len().saturating_sub(1));
+    if permits.is_empty() {
         return items.iter().map(run_one).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<R, Payload>>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut produced: Vec<(usize, Result<R, Payload>)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        produced.push((i, run_one(&items[i])));
-                    }
-                    produced
-                })
+    let drain = &|| {
+        let mut produced: Vec<(usize, Result<R, Payload>)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                return produced;
+            }
+            produced.push((i, run_one(&items[i])));
+        }
+    };
+    let mut produced = std::thread::scope(|scope| {
+        let helpers: Vec<_> = permits
+            .into_iter()
+            .filter_map(|permit| {
+                // A failed spawn drops the closure, and with it the permit;
+                // the caller then drains the items that helper would have.
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || {
+                        let produced = drain();
+                        drop(permit);
+                        produced
+                    })
+                    .ok()
             })
             .collect();
-        for handle in handles {
-            // The worker closure cannot panic (f is inside catch_unwind),
+        let mut produced = drain();
+        for helper in helpers {
+            // The helper closure cannot panic (f is inside catch_unwind),
             // so a join error would be a bug in this module itself.
-            for (i, r) in handle.join().expect("pool worker cannot panic") {
-                slots[i] = Some(r);
-            }
+            produced.extend(helper.join().expect("pool helper cannot panic"));
         }
+        produced
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index produced"))
-        .collect()
+    // Each index was taken from the cursor exactly once.
+    produced.sort_unstable_by_key(|&(i, _)| i);
+    produced.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Map `f` over `items` and collect the results **in input order**.
 ///
-/// Work is distributed by an atomic cursor (good balance for items of
-/// uneven cost, like beam states of different maturity); each worker tags
-/// results with their index, and the merge places them positionally, so the
-/// output is independent of scheduling. Runs inline when the pool width is
-/// 1, the input is trivial, or the caller is itself a pool worker.
+/// The caller and up to `min(len − 1, free)` helpers from the process-wide
+/// budget (see the module docs) take items from one atomic cursor (good
+/// balance for items of uneven cost, like escalation tiers of different
+/// beam widths or sibling subtrees of different sizes); each thread tags
+/// results with their index, and the merge places them positionally, so
+/// the output is independent of scheduling. Runs on the caller alone when
+/// the pool width is 1, the input is trivial, or no helper is free.
 ///
 /// A panic in `f` propagates to the caller with its original payload —
 /// deterministically the panic of the **lowest input index**, whatever the
@@ -276,18 +308,171 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
     }
 
+    /// Take [`LOCK`], also after a test that panics on purpose poisoned it.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Counts the distinct threads currently inside a counted closure and
+    /// keeps the high-water mark; a thread running a nested map's item
+    /// inside an outer item counts once.
+    #[derive(Default)]
+    struct LiveThreads {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    thread_local! {
+        static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl LiveThreads {
+        fn counted<R>(&self, f: impl FnOnce() -> R) -> R {
+            if DEPTH.replace(DEPTH.get() + 1) == 0 {
+                let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak.fetch_max(now, Ordering::SeqCst);
+            }
+            let out = f();
+            if DEPTH.replace(DEPTH.get() - 1) == 1 {
+                self.live.fetch_sub(1, Ordering::SeqCst);
+            }
+            out
+        }
+    }
+
     #[test]
-    fn nested_calls_run_inline() {
-        let _g = LOCK.lock().unwrap();
-        set_thread_override(Some(4));
-        let outer: Vec<usize> = (0..8).collect();
-        let out = par_map(&outer, |&i| {
-            assert!(in_worker());
-            let inner: Vec<usize> = (0..4).collect();
-            // Must not deadlock or explode the thread count.
-            par_map(&inner, move |&j| i * 10 + j)
+    fn nested_maps_stay_within_the_pool_width() {
+        let _g = serial();
+        for width in [2, 4] {
+            set_thread_override(Some(width));
+            let live = LiveThreads::default();
+            let outer: Vec<u64> = (0..6).collect();
+            let out = par_map(&outer, |&a| {
+                live.counted(|| {
+                    let mid: Vec<u64> = (0..5).collect();
+                    par_map(&mid, |&b| {
+                        live.counted(|| {
+                            let inner: Vec<u64> = (0..4).collect();
+                            par_map(&inner, |&c| {
+                                live.counted(|| {
+                                    // Enough work per leaf for helpers to overlap.
+                                    std::hint::black_box((0..20_000u64).fold(c, |s, x| s ^ x));
+                                    a * 100 + b * 10 + c
+                                })
+                            })
+                        })
+                    })
+                })
+            });
+            let want: Vec<Vec<Vec<u64>>> = (0..6)
+                .map(|a| {
+                    (0..5)
+                        .map(|b| (0..4).map(|c| a * 100 + b * 10 + c).collect())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(out, want, "width {width}: results out of input order");
+            let peak = live.peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= width,
+                "width {width}: {peak} threads ran items at once"
+            );
+            assert_eq!(
+                HELPERS.load(Ordering::SeqCst),
+                0,
+                "width {width}: leaked permit"
+            );
+        }
+        set_thread_override(None);
+    }
+
+    /// Blocks each of `n` callers until all `n` arrived, failing (not
+    /// hanging) when they never overlap.
+    struct Rendezvous {
+        arrived: std::sync::Mutex<usize>,
+        all_in: std::sync::Condvar,
+        n: usize,
+    }
+
+    impl Rendezvous {
+        fn wait(&self) {
+            let mut arrived = self.arrived.lock().expect("rendezvous lock");
+            *arrived += 1;
+            self.all_in.notify_all();
+            let (arrived, timeout) = self
+                .all_in
+                .wait_timeout_while(arrived, std::time::Duration::from_secs(10), |a| *a < self.n)
+                .expect("rendezvous lock");
+            drop(arrived);
+            assert!(!timeout.timed_out(), "items never ran at the same time");
+        }
+    }
+
+    #[test]
+    fn caller_runs_items_too() {
+        let _g = serial();
+        set_thread_override(Some(2));
+        let met = Rendezvous {
+            arrived: std::sync::Mutex::new(0),
+            all_in: std::sync::Condvar::new(),
+            n: 2,
+        };
+        let ids = par_map(&[0u8, 1], |_| {
+            met.wait();
+            std::thread::current().id()
         });
-        assert_eq!(out[1], vec![10, 11, 12, 13]);
+        set_thread_override(None);
+        assert_ne!(ids[0], ids[1], "both items ran on one thread");
+        assert!(
+            ids.contains(&std::thread::current().id()),
+            "the caller ran no item"
+        );
+        assert_eq!(
+            HELPERS.load(Ordering::SeqCst),
+            0,
+            "a helper outlived its map"
+        );
+    }
+
+    #[test]
+    fn try_par_map_isolates_panics_in_nested_maps() {
+        let _g = serial();
+        for width in [1, 2, 4] {
+            set_thread_override(Some(width));
+            let outer: Vec<u32> = (0..6).collect();
+            let out = try_par_map(&outer, |&a| {
+                assert!(a != 4, "outer item {a}");
+                let inner: Vec<u32> = (0..5).collect();
+                try_par_map(&inner, |&b| {
+                    assert!((a + b) % 3 != 0, "inner item {a}.{b}");
+                    a * 10 + b
+                })
+            });
+            for (a, r) in out.iter().enumerate() {
+                if a == 4 {
+                    let err = r.as_ref().unwrap_err();
+                    assert_eq!((err.index, err.message.as_str()), (4, "outer item 4"));
+                    continue;
+                }
+                let inner = r.as_ref().expect("an inner panic stays inside its map");
+                for (b, ir) in inner.iter().enumerate() {
+                    let (a, b) = (a as u32, b as u32);
+                    if (a + b) % 3 == 0 {
+                        let err = ir.as_ref().unwrap_err();
+                        assert_eq!(err.index, b as usize);
+                        assert_eq!(err.message, format!("inner item {a}.{b}"));
+                    } else {
+                        assert_eq!(*ir.as_ref().unwrap(), a * 10 + b);
+                    }
+                }
+            }
+            assert_eq!(
+                HELPERS.load(Ordering::SeqCst),
+                0,
+                "width {width}: leaked permit"
+            );
+        }
         set_thread_override(None);
     }
 

@@ -20,20 +20,6 @@ use hca_core::FinalProgram;
 use hca_ddg::{analysis, NodeId};
 use rustc_hash::FxHashSet;
 
-/// Diagnostics observer for SMS: the process-global one when installed,
-/// otherwise a throwaway stderr logger when the legacy `SMS_TRACE`
-/// environment switch is set, otherwise disabled (free).
-fn sms_obs() -> hca_obs::Obs {
-    let global = hca_obs::global();
-    if global.is_enabled() {
-        global
-    } else if std::env::var_os("SMS_TRACE").is_some() {
-        hca_obs::Obs::stderr_logger()
-    } else {
-        hca_obs::Obs::disabled()
-    }
-}
-
 /// Schedule `fp` with SMS at the smallest feasible II ≥ `min_ii`.
 pub fn swing_schedule(
     fp: &FinalProgram,
@@ -255,7 +241,7 @@ fn try_swing(
         let candidates: Vec<i64> = match (early, late) {
             (Some(lo), Some(hi)) => {
                 if lo > hi {
-                    sms_obs().log("sched", "sms_window", || {
+                    hca_obs::global().log("sched", "sms_window", || {
                         format!("II {ii}: empty window for {v:?} [{lo}, {hi}]")
                     });
                     return None; // the window is empty at this II
@@ -280,7 +266,7 @@ fn try_swing(
             .filter(|&t| t >= 0)
             .find(|&t| mrt.is_free(cn, op, t as u32))
         else {
-            sms_obs().log("sched", "sms_slot", || {
+            hca_obs::global().log("sched", "sms_slot", || {
                 format!("II {ii}: no free slot for {v:?} (early {early:?} late {late:?})")
             });
             return None;
@@ -298,7 +284,7 @@ fn try_swing(
     let stages = time.iter().map(|&t| t / ii).max().unwrap_or(0) + 1;
     let sched = ModuloSchedule { ii, time, stages };
     if let Err(e) = crate::modsched::validate(fp, fabric, &sched) {
-        sms_obs().log("sched", "sms_validate", || {
+        hca_obs::global().log("sched", "sms_validate", || {
             format!("II {ii}: validation failed: {e}")
         });
         return None;

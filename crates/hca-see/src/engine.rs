@@ -365,7 +365,8 @@ impl<'a> See<'a> {
             // state, one frontier state after another on this thread. A
             // step is too small to pay for a thread spawn (at most
             // `beam_width` states, each scoring a handful of clusters);
-            // parallelism lives one level up, across sibling sub-problems.
+            // parallelism lives in the driver, which runs a sub-problem's
+            // escalation tiers and its sibling sub-problems on the pool.
             let scored: Vec<(CandList, CandidatePruning)> = frontier
                 .iter_mut()
                 .map(|st| {

@@ -1,12 +1,14 @@
 //! Thread-count invariance of the whole pipeline.
 //!
 //! The `hca-par` pool guarantees results are merged in input order, and the
-//! driver's sibling-merge logic is written so scheduling decides only *who*
-//! computes, never *what* comes out (each SEE run steps its beam on one
-//! thread). These tests pin that contract: a full `table1` run with 1
-//! worker and with 4 workers must agree on every assignment, every copy
-//! primitive, the final MII, and the search statistics (timing excluded —
-//! wall-clock is the one thing allowed to differ).
+//! driver folds escalation tiers in tier order and merges siblings in
+//! member order, so scheduling decides only *who* computes, never *what*
+//! comes out (each SEE run steps its beam on one thread). These tests pin
+//! that contract: a full `table1` run at pool widths 1, 2 and 4 must agree
+//! on every assignment, every copy primitive, the final MII, and the
+//! search statistics (timing excluded — wall-clock is the one thing
+//! allowed to differ). Width 2 leaves a single helper permit for nested
+//! maps to compete for.
 
 use hca_repro::arch::DspFabric;
 use hca_repro::hca::{run_hca, HcaConfig, HcaResult};
@@ -35,25 +37,28 @@ fn run_table1(threads: usize) -> Vec<(&'static str, HcaResult)> {
 fn table1_pipeline_is_thread_count_invariant() {
     let _g = OVERRIDE_LOCK.lock().unwrap();
     let seq = run_table1(1);
-    let par = run_table1(4);
-    for ((name, a), (_, b)) in seq.iter().zip(par.iter()) {
-        assert_eq!(a.placement, b.placement, "{name}: placements diverge");
-        assert_eq!(a.mii, b.mii, "{name}: MII reports diverge");
-        assert_eq!(a.stats, b.stats, "{name}: run statistics diverge");
-        assert_eq!(
-            a.final_program.placement, b.final_program.placement,
-            "{name}: final-program placements diverge"
-        );
-        assert_eq!(
-            a.final_program.recv_nodes, b.final_program.recv_nodes,
-            "{name}: copy (recv) primitives diverge"
-        );
-        assert_eq!(
-            a.final_program.route_nodes, b.final_program.route_nodes,
-            "{name}: route primitives diverge"
-        );
-        assert!(a.is_legal(), "{name}: sequential run illegal");
-        assert!(b.is_legal(), "{name}: parallel run illegal");
+    for width in [2, 4] {
+        let par = run_table1(width);
+        for ((name, a), (_, b)) in seq.iter().zip(par.iter()) {
+            let at = format!("{name} at width {width}");
+            assert_eq!(a.placement, b.placement, "{at}: placements diverge");
+            assert_eq!(a.mii, b.mii, "{at}: MII reports diverge");
+            assert_eq!(a.stats, b.stats, "{at}: run statistics diverge");
+            assert_eq!(
+                a.final_program.placement, b.final_program.placement,
+                "{at}: final-program placements diverge"
+            );
+            assert_eq!(
+                a.final_program.recv_nodes, b.final_program.recv_nodes,
+                "{at}: copy (recv) primitives diverge"
+            );
+            assert_eq!(
+                a.final_program.route_nodes, b.final_program.route_nodes,
+                "{at}: route primitives diverge"
+            );
+            assert!(a.is_legal(), "{name}: sequential run illegal");
+            assert!(b.is_legal(), "{at}: parallel run illegal");
+        }
     }
 }
 
