@@ -3,6 +3,8 @@
 //! figure of the paper's evaluation — see `DESIGN.md` §4 for the index and
 //! `EXPERIMENTS.md` for recorded results.
 
+#![forbid(unsafe_code)]
+
 use hca_arch::DspFabric;
 use hca_core::{run_hca_portfolio_obs, HcaResult, Table1Row};
 use hca_kernels::Kernel;

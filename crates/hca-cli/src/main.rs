@@ -18,6 +18,8 @@
 //!          --unroll F        unroll the loop body F times first
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hca_arch::DspFabric;
 use hca_core::{run_hca_obs, run_hca_portfolio_obs, HcaConfig, HcaResult, PortfolioMode};
 use hca_ddg::{analysis, Ddg};

@@ -452,7 +452,7 @@ impl Clone for PartialState {
 }
 
 /// Undo record of one copy created by [`PartialState::apply_assign_logged`].
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct CopyUndo {
     /// The arc the value was pushed onto.
     arc: (PgNodeId, PgNodeId),

@@ -33,4 +33,4 @@ pub use kernels::resolve_kernel;
 pub use protocol::{
     summarise, CompileSpec, CompileSummary, ItemResult, Request, Response, StatsReport,
 };
-pub use server::{parse_machine, Bind, Server, ServerConfig, StopHandle};
+pub use server::{parse_machine, Bind, Server, ServerConfig, StopHandle, MAX_LINE_BYTES};

@@ -23,7 +23,7 @@ use hca_arch::DspFabric;
 use hca_core::{run_hca_shared, HcaConfig, Memo};
 use hca_ddg::Ddg;
 use hca_obs::Obs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -112,6 +112,12 @@ pub struct Server {
 
 /// Accept-loop poll interval; also bounds how long shutdown drains.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Longest request line the daemon reads, in bytes, newline included. An
+/// inline DDG of tens of thousands of nodes fits; a longer line is answered
+/// with an error and the connection is closed, so one client cannot grow a
+/// handler's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 impl Server {
     /// Bind the listen address and load the snapshot (if configured and
@@ -258,6 +264,10 @@ impl StopHandle {
 
 /// Serve one connection: JSON-lines requests in, responses out, in order.
 /// Generic over the stream so TCP and Unix sockets share the code.
+///
+/// Lines are read as bytes and decoded only once complete: a read timeout
+/// that splits a multi-byte character keeps the partial bytes, and a line
+/// that is not UTF-8 gets an error reply instead of ending the connection.
 fn handle_connection<R: std::io::Read>(
     shared: &Shared,
     reader: R,
@@ -265,19 +275,33 @@ fn handle_connection<R: std::io::Read>(
 ) {
     let Ok(mut writer) = writer else { return };
     let mut reader = BufReader::new(reader);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // One byte past the limit tells an oversized line from a full one.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let (resp, shutdown) = dispatch(shared, &line);
+                let oversized = line.len() > MAX_LINE_BYTES;
+                let (resp, shutdown) = if oversized {
+                    let msg = format!("bad request: line exceeds {MAX_LINE_BYTES} bytes");
+                    (Response::err(0, msg), false)
+                } else {
+                    match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => {
+                            line.clear();
+                            continue;
+                        }
+                        Ok(text) => dispatch(shared, text),
+                        Err(e) => (
+                            Response::err(0, format!("bad request: not UTF-8: {e}")),
+                            false,
+                        ),
+                    }
+                };
                 line.clear();
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 if !resp.ok {
@@ -296,8 +320,11 @@ fn handle_connection<R: std::io::Read>(
                     shared.stop.store(true, Ordering::SeqCst);
                     return;
                 }
+                if oversized {
+                    return;
+                }
             }
-            // Timeout polls: partial data stays buffered in `line`, the
+            // Timeout polls: partial bytes stay buffered in `line`, the
             // next read appends the rest of the request.
             Err(e)
                 if matches!(

@@ -2,8 +2,14 @@
 //! op over a real TCP connection, shut down cleanly, and verify the cache
 //! snapshot survives a restart.
 
-use hca_serve::{Client, CompileSpec, Request, Server, ServerConfig};
+use hca_serve::{
+    Client, CompileSpec, Request, Response, Server, ServerConfig, StopHandle, MAX_LINE_BYTES,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -142,4 +148,92 @@ fn unix_socket_round_trip() {
     stop.stop();
     daemon.join().expect("daemon thread");
     assert!(!sock.exists(), "socket file must be removed on shutdown");
+}
+
+/// A cold daemon on a loopback port: its address, a stop handle and the
+/// thread running it.
+fn boot() -> (String, StopHandle, JoinHandle<()>) {
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let stop = server.stop_handle();
+    let daemon = std::thread::spawn(move || {
+        server.run().expect("server run");
+    });
+    (addr, stop, daemon)
+}
+
+/// A raw TCP connection, for requests no well-behaved client would send.
+fn raw(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn reply(reader: &mut BufReader<TcpStream>) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply line");
+    serde_json::from_str(&line).unwrap_or_else(|e| panic!("reply `{line}`: {e}"))
+}
+
+#[test]
+fn request_split_inside_a_utf8_character_is_answered() {
+    let (addr, stop, daemon) = boot();
+    let (mut w, mut r) = raw(&addr);
+    let req = "{\"id\":7,\"op\":\"ping\",\"kernel\":\"caf\u{e9}\"}\n".as_bytes();
+    // Cut after the first byte of the two-byte "é", and pause for longer
+    // than the daemon's read poll so a timeout lands mid-character.
+    let cut = req.iter().position(|&b| b == 0xC3).expect("two-byte char") + 1;
+    w.write_all(&req[..cut]).expect("first half");
+    std::thread::sleep(Duration::from_millis(100));
+    w.write_all(&req[cut..]).expect("second half");
+    let resp = reply(&mut r);
+    assert!(resp.ok && resp.id == 7, "split request answered: {resp:?}");
+    stop.stop();
+    daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn non_utf8_line_gets_an_error_and_the_connection_keeps_serving() {
+    let (addr, stop, daemon) = boot();
+    let (mut w, mut r) = raw(&addr);
+    w.write_all(b"{\"id\":8,\"op\":\"ping\xff\"}\n")
+        .expect("bad line");
+    let resp = reply(&mut r);
+    assert!(!resp.ok, "non-UTF-8 line must fail: {resp:?}");
+    assert!(resp.error.as_deref().unwrap_or("").contains("UTF-8"));
+    w.write_all(b"{\"id\":9,\"op\":\"ping\"}\n").expect("ping");
+    let resp = reply(&mut r);
+    assert!(
+        resp.ok && resp.id == 9,
+        "same connection still serves: {resp:?}"
+    );
+    stop.stop();
+    daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn oversized_line_gets_an_error_and_the_daemon_keeps_accepting() {
+    let (addr, stop, daemon) = boot();
+    let (mut w, mut r) = raw(&addr);
+    // One byte over the limit and no newline: the daemon reads all of it
+    // before it answers, so the close that follows is a clean one.
+    w.write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("oversized line");
+    let resp = reply(&mut r);
+    assert!(!resp.ok, "oversized line must fail: {resp:?}");
+    assert!(resp.error.as_deref().unwrap_or("").contains("exceeds"));
+    let mut rest = String::new();
+    assert_eq!(
+        r.read_line(&mut rest).expect("read after error"),
+        0,
+        "the daemon closes the connection after an oversized line"
+    );
+    let mut client = Client::connect_tcp(&addr).expect("new connection");
+    client.ping().expect("daemon still serves new connections");
+    stop.stop();
+    daemon.join().expect("daemon thread");
 }

@@ -8,6 +8,8 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use hca_arch as arch;
 pub use hca_check as check;
 pub use hca_core as hca;
