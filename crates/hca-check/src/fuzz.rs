@@ -21,7 +21,7 @@ use crate::journal::journal_roundtrip_check;
 use crate::oracle::{flat_optimal_mii, OracleConfig, OracleVerdict};
 use crate::reach::{coherency_violations_fixpoint, differential_coherency};
 use hca_arch::DspFabric;
-use hca_core::{run_hca, HcaConfig, HcaResult};
+use hca_core::{run_hca, HcaConfig, HcaResult, PortfolioConfig, PortfolioMode};
 use hca_ddg::Ddg;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,6 +85,9 @@ pub struct GauntletConfig {
     /// ([`HcaConfig::memo`]). The cache is argued result-transparent; a
     /// gauntlet sweep with it on is the fuzz-side referee of that claim.
     pub memo: bool,
+    /// Sub-problem solver of every HCA run ([`HcaConfig::portfolio`]);
+    /// beam-only by default.
+    pub solver: PortfolioMode,
 }
 
 impl Default for GauntletConfig {
@@ -95,6 +98,7 @@ impl Default for GauntletConfig {
             quality_slack: 8,
             threads: 4,
             memo: true,
+            solver: PortfolioMode::BeamOnly,
         }
     }
 }
@@ -145,6 +149,7 @@ pub fn gauntlet(
     let fail = |kind, detail: String| Err(GauntletFailure { kind, detail });
     let hca_cfg = HcaConfig {
         memo: cfg.memo,
+        portfolio: PortfolioConfig { mode: cfg.solver },
         ..HcaConfig::strict()
     };
 

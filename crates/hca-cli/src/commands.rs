@@ -306,6 +306,7 @@ pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), String> {
         out_dir: opts.out.as_deref().map(std::path::PathBuf::from),
         gauntlet: GauntletConfig {
             memo: opts.memo,
+            solver: opts.solver,
             ..GauntletConfig::default()
         },
         ..CampaignConfig::default()
@@ -358,7 +359,10 @@ pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), String> {
 pub(crate) fn cmd_verify(opts: &Options) -> Result<(), String> {
     use hca_check::{gauntlet, GauntletConfig, OracleVerdict};
     let fabric = opts.fabric();
-    let cfg = GauntletConfig::default();
+    let cfg = GauntletConfig {
+        solver: opts.solver,
+        ..GauntletConfig::default()
+    };
     let workloads: Vec<(String, hca_ddg::Ddg)> = if opts.target.is_some() {
         vec![opts.load_ddg()?]
     } else {

@@ -54,6 +54,23 @@ fn simulate_verifies_execution() {
     );
 }
 
+/// The gauntlet runs under the `--solver` it is given: exact-small brings
+/// fir2dim's final MII from 6 down to 5 on the default machine.
+#[test]
+fn verify_honours_the_solver_flag() {
+    for (args, mii) in [
+        (&["verify", "fir2dim"][..], 6),
+        (&["verify", "fir2dim", "--solver", "exact-small"][..], 5),
+    ] {
+        let (ok, stdout, stderr) = hca(args);
+        assert!(ok, "{args:?}: {stdout}{stderr}");
+        assert!(
+            stdout.contains(&format!("fir2dim: final MII {mii} ")),
+            "{args:?}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn machine_spec_accepted() {
     let (ok, stdout, stderr) = hca(&["clusterize", "dot_product", "--machine", "4x4@4,4"]);

@@ -20,6 +20,7 @@ use hca_obs::{Obs, RunMetrics, SearchTracer, TraceRecord};
 use hca_see::{mii_lower_bound, solution_score, ExactConfig, See, SeeConfig, SeeError};
 use rustc_hash::FxHashMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// How much the driver trusts its own output (paper: "a coherency checker
 /// validates legality").
@@ -370,6 +371,47 @@ struct SolveCtx<'a> {
     memo: Option<&'a crate::memo::Memo>,
     /// Search-trace recorder ([`run_hca_traced`]); disabled elsewhere.
     tracer: &'a SearchTracer,
+    /// Beam-ladder decisions shared between an exact-small run, which
+    /// records them, and its beam-only guard run, which replays them;
+    /// `None` on every other run.
+    ladders: Option<&'a LadderBook>,
+}
+
+/// The beam ladder's decision for one sub-problem, taken before the exact
+/// backend could displace it. The ladder depends only on the sub-problem
+/// (path, working set, ILI) and the run's config, never on the portfolio
+/// mode — the bound only lets tiers be skipped — so the guard's beam-only
+/// run can adopt it instead of re-running the tiers.
+struct LadderRecord {
+    working_set: Vec<NodeId>,
+    ili: hca_pg::Ili,
+    /// The tier-fold (or fallback) winner and its tier.
+    winner: (hca_see::SeeOutcome, MapperOutput),
+    winner_tier: u32,
+    /// What each tier added to [`HcaStats::see_states`] (0 when its SEE
+    /// failed); `None` for tiers a bound exit skipped.
+    tier_states: [Option<usize>; 5],
+}
+
+/// Run-local table of [`LadderRecord`]s keyed by sub-problem path. It lives
+/// only from an exact-small run to the end of its guard run, and never
+/// enters the memo cache or a snapshot.
+#[derive(Default)]
+struct LadderBook(Mutex<FxHashMap<Vec<usize>, LadderRecord>>);
+
+impl LadderBook {
+    fn record(&self, path: &[usize], rec: LadderRecord) {
+        let mut book = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        book.insert(path.to_vec(), rec);
+    }
+
+    /// Remove the record of `sp`'s path; `Some` only when the recorded
+    /// sub-problem is the same one (below an exact win the trees diverge).
+    fn take(&self, sp: &Subproblem) -> Option<LadderRecord> {
+        let mut book = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        book.remove(&sp.path)
+            .filter(|r| r.working_set == sp.working_set && r.ili == sp.ili)
+    }
 }
 
 /// Everything one sub-problem subtree contributes to the final result.
@@ -468,7 +510,10 @@ pub fn run_hca_shared(
 /// the driver beam-only whenever `stats.exact_wins > 0` and keeps the
 /// result with the lower final MII (the exact-assisted one on ties). The
 /// extra run costs nothing in the common case — with zero exact wins the
-/// two runs are bit-identical and the guard never fires.
+/// two runs are bit-identical and the guard never fires. When it fires, the
+/// guard replays the beam ladders the exact-assisted run recorded (see
+/// [`LadderRecord`]) and searches only what differs: tiers a bound exit
+/// skipped, and subtrees below an exact win.
 fn run_hca_inner(
     ddg: &Ddg,
     fabric: &DspFabric,
@@ -477,7 +522,19 @@ fn run_hca_inner(
     shared_memo: Option<&crate::memo::Memo>,
     tracer: &SearchTracer,
 ) -> Result<HcaResult, HcaError> {
-    let res = run_hca_once(ddg, fabric, config, obs, shared_memo, tracer)?;
+    let ladders = (config.portfolio.mode != PortfolioMode::BeamOnly).then(LadderBook::default);
+    let once = |config: &HcaConfig, tracer: &SearchTracer| {
+        run_hca_once(
+            ddg,
+            fabric,
+            config,
+            obs,
+            shared_memo,
+            tracer,
+            ladders.as_ref(),
+        )
+    };
+    let res = once(config, tracer)?;
     if config.portfolio.mode == PortfolioMode::BeamOnly || res.stats.exact_wins == 0 {
         return Ok(res);
     }
@@ -488,14 +545,7 @@ fn run_hca_inner(
     };
     // The guard run is untraced: a search trace describes one solve, and
     // the exact-assisted run above is the one being explained.
-    let beam = run_hca_once(
-        ddg,
-        fabric,
-        &beam_cfg,
-        obs,
-        shared_memo,
-        &SearchTracer::disabled(),
-    )?;
+    let beam = once(&beam_cfg, &SearchTracer::disabled())?;
     let beam_better = beam.mii.final_mii < res.mii.final_mii && beam.is_legal();
     let mut kept = if beam_better || (!res.is_legal() && beam.is_legal()) {
         obs.counter_add("portfolio.guard_kept_beam", 1);
@@ -515,6 +565,7 @@ fn run_hca_once(
     obs: &Obs,
     shared_memo: Option<&crate::memo::Memo>,
     tracer: &SearchTracer,
+    ladders: Option<&LadderBook>,
 ) -> Result<HcaResult, HcaError> {
     let analysis_span = obs.span("driver", "analysis");
     let analysis = DdgAnalysis::compute(ddg).map_err(HcaError::Analysis)?;
@@ -548,6 +599,7 @@ fn run_hca_once(
         topo_pos: &topo_pos,
         memo,
         tracer,
+        ladders,
     };
     let root = Subproblem::root(ddg.node_ids().collect());
     let sub = solve_subproblem(&cx, &root)?;
@@ -682,6 +734,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         topo_pos,
         memo,
         tracer,
+        ladders,
     } = *cx;
     let trace_on = tracer.is_enabled();
     if trace_on {
@@ -824,13 +877,28 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         });
         (run, elapsed_ns(t0))
     };
-    // Without a bound nothing can end the ladder early, so every tier runs:
-    // compute them all up front on the pool, widest beam first so the
-    // longest runs start earliest, and hand them to the fold in tier
-    // order. With a bound, tiers run one at a time so a proven-optimal
-    // exit still skips the rest.
+    let mut winner_tier: u32 = FALLBACK_TIER;
+    // What each tier added to `see_states`, for the ladder record; `None`
+    // until the tier runs.
+    let mut tier_states: [Option<usize>; 5] = [None; 5];
+    let mut todo: Vec<usize> = (0..tiers.len()).collect();
+    // Guard replay: the exact-small run already decided this ladder, so
+    // adopt its winner and run only the tiers a bound exit skipped there.
+    // They cannot win, but their states belong in `see_states`.
+    if let Some(rec) = ladders.filter(|_| bound.is_none()).and_then(|b| b.take(sp)) {
+        obs.counter_add("portfolio.guard_replays", 1);
+        res.stats.see_states += rec.tier_states.iter().flatten().sum::<usize>();
+        todo.retain(|&t| rec.tier_states[t].is_none());
+        winner_tier = rec.winner_tier;
+        solved = Some(rec.winner);
+    }
+    // Without a bound nothing can end the ladder early, so every tier in
+    // `todo` runs: compute them all up front on the pool, widest beam
+    // first so the longest runs start earliest, and hand them to the fold
+    // in tier order. With a bound, tiers run one at a time so a
+    // proven-optimal exit still skips the rest.
     let mut eager = bound.is_none().then(|| {
-        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        let mut order = todo.clone();
         order.sort_by_key(|&t| std::cmp::Reverse(tiers[t].beam_width * tiers[t].branch_factor));
         let runs = hca_par::par_map(&order, |&t| run_tier(t));
         let mut by_tier: Vec<_> = order.into_iter().zip(runs).collect();
@@ -839,16 +907,16 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     });
     // Fold every tier in tier order and keep the best mapped result —
     // which strategy wins varies per sub-problem.
-    let mut winner_tier: u32 = FALLBACK_TIER;
     // Set when a tier winner provably reached the global score minimum
     // (bound sharing): the remaining tiers — and the exact backend — have
     // nothing left to win.
     let mut bound_exit = false;
-    for tier in 0..tiers.len() {
+    for tier in todo {
         let (run, ns) = match &mut eager {
             Some(runs) => runs.next().expect("one run per tier"),
             None => run_tier(tier),
         };
+        tier_states[tier] = Some(0);
         let (outcome, mapped) = match run {
             Ok(pair) => pair,
             Err(source) => {
@@ -883,6 +951,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
         };
         res.stats.see_states += outcome.stats.states_explored;
+        tier_states[tier] = Some(outcome.stats.states_explored);
         record_see_stats(obs, &outcome.stats);
         match mapped {
             Ok(mapped) => {
@@ -1023,6 +1092,20 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
         }
         drop(fallback_span);
+    }
+    // Exact-small: record the ladder's decision before the exact backend
+    // can displace it, for the guard run to replay.
+    if let (Some(book), Some(_), Some((outcome, mapped))) = (ladders, bound, &solved) {
+        book.record(
+            &sp.path,
+            LadderRecord {
+                working_set: sp.working_set.clone(),
+                ili: sp.ili.clone(),
+                winner: (outcome.clone(), mapped.clone()),
+                winner_tier,
+                tier_states,
+            },
+        );
     }
 
     // Exact backend: on small sub-problems, run the branch-and-bound

@@ -163,12 +163,12 @@ pub fn distribute_member(
     // a wire can feed several glue slots and several sibling receivers).
     // Prefer merges that *save* receiver ports, then low pressure.
     while wires.len() > out_wires {
+        // Each wire's receiver set, built once per round, not once per pair.
+        let receivers: Vec<BTreeSet<usize>> = wires.iter().map(WireDraft::receivers).collect();
         let mut best: Option<(isize, usize, usize, usize)> = None; // (Δports, pressure, i, j)
         for i in 0..wires.len() {
             for j in i + 1..wires.len() {
-                let ri = wires[i].receivers();
-                let rj = wires[j].receivers();
-                let common = ri.intersection(&rj).count() as isize;
+                let common = receivers[i].intersection(&receivers[j]).count() as isize;
                 let pressure = wires[i].pressure() + wires[j].pressure();
                 let key = (-common, pressure, i, j);
                 if best.is_none_or(|b| key < b) {
@@ -190,12 +190,12 @@ pub fn distribute_member(
         match charge(&wires, &mut trial_ports, port_limit) {
             Ok(()) => break,
             Err(e) => {
+                let receivers: Vec<BTreeSet<usize>> =
+                    wires.iter().map(WireDraft::receivers).collect();
                 let mut best: Option<(usize, usize, usize)> = None; // (-saved, i, j)
                 for i in 0..wires.len() {
                     for j in i + 1..wires.len() {
-                        let ri = wires[i].receivers();
-                        let rj = wires[j].receivers();
-                        let common = ri.intersection(&rj).count();
+                        let common = receivers[i].intersection(&receivers[j]).count();
                         if common == 0 {
                             continue;
                         }

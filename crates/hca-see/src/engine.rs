@@ -344,6 +344,11 @@ impl<'a> See<'a> {
         frontier = self.resolve_forwards(frontier, &mut pool)?;
         node_filter.apply(&mut frontier);
         let trace_on = self.tracer.is_enabled();
+        // Per-step buffers, cleared every step so their capacity carries over.
+        let mut scored: Vec<(CandList, CandidatePruning)> = Vec::new();
+        let mut merged: Vec<(usize, PgNodeId, f64)> = Vec::new();
+        let mut uses: Vec<usize> = Vec::new();
+        let mut parents: Vec<Option<PartialState>> = Vec::new();
 
         for (step_idx, &n) in (0u32..).zip(order.nodes()) {
             let step_t0 = Instant::now();
@@ -367,54 +372,52 @@ impl<'a> See<'a> {
             // `beam_width` states, each scoring a handful of clusters);
             // parallelism lives in the driver, which runs a sub-problem's
             // escalation tiers and its sibling sub-problems on the pool.
-            let scored: Vec<(CandList, CandidatePruning)> = frontier
-                .iter_mut()
-                .map(|st| {
-                    // Operand/result placements are candidate-independent:
-                    // read them once per state, not once per cluster probe.
-                    // The view's bitmask AND already folded every static
-                    // screen (executability, producer/consumer potential,
-                    // output fan-in), so the scoring below touches only the
-                    // clusters that survive it — in the same ascending id
-                    // order the full probe scanned — and re-checks just the
-                    // port/budget conditions that depend on mutable state.
-                    let view = crate::assignable::node_view(&self.ctx, st, n);
-                    let mut cands: CandList = CandList::new();
-                    for c in view.candidates() {
-                        // Mutation-free trial: one pass re-checks the dynamic
-                        // screens and replays apply's aggregate arithmetic
-                        // against locals, bit-exact with the journalled
-                        // apply-read-undo path (asserted below).
-                        let scored =
-                            crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
-                        #[cfg(debug_assertions)]
-                        {
+            let scoring = frontier.iter_mut().map(|st| {
+                // Operand/result placements are candidate-independent:
+                // read them once per state, not once per cluster probe.
+                // The view's bitmask AND already folded every static
+                // screen (executability, producer/consumer potential,
+                // output fan-in), so the scoring below touches only the
+                // clusters that survive it — in the same ascending id
+                // order the full probe scanned — and re-checks just the
+                // port/budget conditions that depend on mutable state.
+                let view = crate::assignable::node_view(&self.ctx, st, n);
+                let mut cands: CandList = CandList::new();
+                for c in view.candidates() {
+                    // Mutation-free trial: one pass re-checks the dynamic
+                    // screens and replays apply's aggregate arithmetic
+                    // against locals, bit-exact with the journalled
+                    // apply-read-undo path (asserted below).
+                    let scored = crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
+                    #[cfg(debug_assertions)]
+                    {
+                        debug_assert_eq!(
+                            scored.is_some(),
+                            crate::assignable::assignable_dynamic(&self.ctx, st, &view, n, c),
+                            "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                        );
+                        if let Some(cost) = scored {
+                            let undo = st.apply_assign_logged(&self.ctx, n, c);
                             debug_assert_eq!(
-                                scored.is_some(),
-                                crate::assignable::assignable_dynamic(&self.ctx, st, &view, n, c),
-                                "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                                cost.to_bits(),
+                                st.cost.to_bits(),
+                                "score_if_assignable diverged from apply for {n:?} @ {c:?}"
                             );
-                            if let Some(cost) = scored {
-                                let undo = st.apply_assign_logged(&self.ctx, n, c);
-                                debug_assert_eq!(
-                                    cost.to_bits(),
-                                    st.cost.to_bits(),
-                                    "score_if_assignable diverged from apply for {n:?} @ {c:?}"
-                                );
-                                st.undo_assign(&self.ctx, undo);
-                            }
+                            st.undo_assign(&self.ctx, undo);
                         }
-                        let Some(cost) = scored else { continue };
-                        cands.push((c, cost));
                     }
-                    let pruning = cand_filter.apply(&mut cands);
-                    (cands, pruning)
-                })
-                .collect();
+                    let Some(cost) = scored else { continue };
+                    cands.push((c, cost));
+                }
+                let pruning = cand_filter.apply(&mut cands);
+                (cands, pruning)
+            });
+            scored.clear();
+            scored.extend(scoring);
 
             // Merge deterministically as (parent, cluster, cost) tuples, in
             // (frontier order, per-state candidate order).
-            let mut merged: Vec<(usize, PgNodeId, f64)> = Vec::new();
+            merged.clear();
             for (si, (cands, pruning)) in scored.iter().enumerate() {
                 stats.cand_rejected_margin += pruning.by_margin;
                 stats.cand_rejected_branch += pruning.by_branch;
@@ -487,11 +490,13 @@ impl<'a> See<'a> {
                 // children copy onto recycled arena states. Applying the
                 // logged assignment replays the scored trial bit-exactly
                 // (undo restored the parent state).
-                let mut uses = vec![0usize; frontier.len()];
+                uses.clear();
+                uses.resize(frontier.len(), 0);
                 for &(si, _, _) in &merged {
                     uses[si] += 1;
                 }
-                let mut parents: Vec<Option<PartialState>> = frontier.drain(..).map(Some).collect();
+                parents.clear();
+                parents.extend(frontier.drain(..).map(Some));
                 for &(si, c, _) in &merged {
                     uses[si] -= 1;
                     let mut child = if uses[si] == 0 {
@@ -505,7 +510,7 @@ impl<'a> See<'a> {
                     frontier.push(child);
                 }
                 // Parents whose every child was beam-pruned retire.
-                for p in parents.into_iter().flatten() {
+                for p in parents.drain(..).flatten() {
                     pool.put(p);
                 }
             }

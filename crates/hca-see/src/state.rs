@@ -93,7 +93,15 @@ impl Clone for ArcVals {
         self.index = Arc::clone(&src.index);
         self.slots.clone_from(&src.slots);
         self.lens.clone_from(&src.lens);
-        self.spill.clone_from(&src.spill);
+        // Element-wise, so each spilled arc keeps its value buffer (a
+        // tuple's `clone_from` would clone the inner `Vec` afresh).
+        self.spill.truncate(src.spill.len());
+        let kept = self.spill.len();
+        for (dst, s) in self.spill.iter_mut().zip(&src.spill) {
+            dst.0 = s.0;
+            dst.1.clone_from(&s.1);
+        }
+        self.spill.extend_from_slice(&src.spill[kept..]);
     }
 }
 
