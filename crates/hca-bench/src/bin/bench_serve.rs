@@ -17,7 +17,8 @@ use std::time::Instant;
 
 /// The request mix: near-duplicate traffic, the daemon's target workload.
 /// Every kernel appears many times per run, so a working cross-request
-/// cache must hit from the second occurrence on.
+/// cache must hit from the third occurrence on (the daemon's cache admits
+/// a sub-problem on its second solve).
 const MIX: &[&str] = &[
     "fir2dim",
     "idcthor",
@@ -140,9 +141,10 @@ fn main() {
     println!("  latency p99  {:>10.2} ms", p99 as f64 / 1e3);
     println!(
         "  memo         {} hits / {} misses ({hit_pct:.1}% of {lookups} lookups), \
-         {} evictions, {} entries, {} bytes",
+         {} deferred, {} evictions, {} entries, {} bytes",
         stats.memo_hits,
         stats.memo_misses,
+        stats.memo_deferred,
         stats.memo_evictions,
         stats.memo_entries,
         stats.memo_bytes

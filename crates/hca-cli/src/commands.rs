@@ -446,11 +446,12 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
     let _ = std::io::stdout().flush();
     let stats = server.run().map_err(|e| format!("serve: {e}"))?;
     eprintln!(
-        "hca-serve: {} requests ({} errors), cache {} hits / {} misses / {} evictions, {} entries ({} bytes) at exit",
+        "hca-serve: {} requests ({} errors), cache {} hits / {} misses / {} deferred / {} evictions, {} entries ({} bytes) at exit",
         stats.requests,
         stats.errors,
         stats.memo_hits,
         stats.memo_misses,
+        stats.memo_deferred,
         stats.memo_evictions,
         stats.memo_entries,
         stats.memo_bytes,

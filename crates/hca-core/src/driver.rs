@@ -114,8 +114,7 @@ pub struct HcaConfig {
     pub validation: ValidationLevel,
     /// Memoise solved sub-problems under a renumbering-equivariant
     /// canonical key and reuse them for isomorphic sub-problems within the
-    /// run (and across portfolio variants). Cached results are bit-exact
-    /// replays; disable to compare.
+    /// run. Cached results are bit-exact replays; disable to compare.
     pub memo: bool,
     /// Byte budget of the run-private memo cache (when [`memo`] is on and
     /// no shared cache is supplied). Least-recently-used entries are
@@ -369,6 +368,10 @@ struct SolveCtx<'a> {
     topo_pos: &'a [usize],
     /// Sub-problem cache ([`HcaConfig::memo`]); `None` when disabled.
     memo: Option<&'a crate::memo::Memo>,
+    /// Whether `memo` was handed in ([`run_hca_shared`]): such a cache
+    /// outlives the run and admits an entry only on second sight
+    /// ([`crate::memo::Memo::offer`]); a run-owned cache admits at once.
+    memo_handed_in: bool,
     /// Search-trace recorder ([`run_hca_traced`]); disabled elsewhere.
     tracer: &'a SearchTracer,
     /// Beam-ladder decisions shared between an exact-small run, which
@@ -474,13 +477,21 @@ pub fn run_hca_traced(
 }
 
 /// [`run_hca_obs`] with an externally owned sub-problem cache. The cache
-/// outlives the run: a portfolio shares one across variants, and a serving
-/// daemon shares one across every request it ever handles. The memo key
-/// encodes the fabric and the full solving context, so one cache is sound
-/// across different kernels, machines and configurations — a hit happens
-/// exactly when a fresh solve would reproduce the cached bits. The shared
-/// cache is used regardless of [`HcaConfig::memo`] (passing it *is* the
-/// opt-in) and carries its own byte budget.
+/// outlives the run: a serving daemon shares one across every request it
+/// ever handles. The memo key encodes the fabric and the full solving
+/// context, so one cache is sound across different kernels, machines and
+/// configurations — a hit happens exactly when a fresh solve would
+/// reproduce the cached bits. The shared cache is used regardless of
+/// [`HcaConfig::memo`] (passing it *is* the opt-in) and carries its own
+/// byte budget.
+///
+/// A handed-in cache admits a solved sub-problem only on *second sight*
+/// (see [`crate::memo::Memo::deferred`]): the first solve of a key records
+/// its hash and drops the entry, a later solve of the same key caches it.
+/// So a never-repeating kernel leaves next to nothing behind, and a kernel
+/// whose sub-problems do not repeat within one compile hits at the root
+/// only from its third call on. Outputs are the same whatever the cache
+/// holds.
 pub fn run_hca_shared(
     ddg: &Ddg,
     fabric: &DspFabric,
@@ -498,9 +509,9 @@ pub fn run_hca_shared(
     )
 }
 
-/// [`run_hca_obs`] with an optional externally owned sub-problem cache, so
-/// a portfolio run can share one [`crate::memo::Memo`] across variants.
-/// With `None` (and [`HcaConfig::memo`] on) the run owns a private cache.
+/// [`run_hca_obs`] with an optional externally owned sub-problem cache
+/// ([`run_hca_shared`]). With `None` (and [`HcaConfig::memo`] on) the run
+/// owns a private cache that admits at once.
 ///
 /// When the exact backend displaced the beam result in at least one
 /// sub-problem, the *global* never-worse-than-beam guarantee does not
@@ -598,6 +609,7 @@ fn run_hca_once(
         theo_mii,
         topo_pos: &topo_pos,
         memo,
+        memo_handed_in: shared_memo.is_some(),
         tracer,
         ladders,
     };
@@ -681,9 +693,9 @@ fn run_hca_once(
 
     if obs.is_enabled() {
         if let Some(m) = memo {
-            // High-water marks, not sums: a shared portfolio (or daemon)
-            // cache reports its largest observed footprint, and evictions
-            // are a lifetime count over the cache, not this run.
+            // High-water marks, not sums: a shared (daemon) cache reports
+            // its largest observed footprint, and evictions are a lifetime
+            // count over the cache, not this run.
             obs.counter_max("driver.memo_bytes", m.approx_bytes() as u64);
             obs.counter_max("driver.memo_entries", m.entries() as u64);
             obs.counter_max("driver.memo_evictions", m.evictions());
@@ -733,6 +745,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         theo_mii,
         topo_pos,
         memo,
+        memo_handed_in,
         tracer,
         ladders,
     } = *cx;
@@ -1373,6 +1386,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         // Defensive: anything outside the canonical universe (which would
         // make rehydration unsound) skips the cache instead of poisoning it.
         match crate::memo::capture(&res, &canon2raw, &sp.path, fabric) {
+            Some(canon) if memo_handed_in => m.offer(key, canon),
             Some(canon) => m.insert(key, canon),
             None => obs.counter_add("driver.memo_uncachable", 1),
         }
@@ -1392,7 +1406,9 @@ pub fn run_hca_portfolio(ddg: &Ddg, fabric: &DspFabric) -> Result<HcaResult, Hca
 /// [`run_hca_portfolio`] with observability. All variants share the
 /// observer (counters accumulate across the portfolio, spans are labelled
 /// with the variant index); the winner's [`HcaResult::metrics`] snapshot is
-/// taken at the end so it covers the whole portfolio run.
+/// taken at the end so it covers the whole portfolio run. Each variant's
+/// run owns its memo cache: every variant differs from the default in a
+/// keyed search setting, so no cached sub-problem could answer another.
 pub fn run_hca_portfolio_obs(
     ddg: &Ddg,
     fabric: &DspFabric,
@@ -1416,19 +1432,13 @@ pub fn run_hca_portfolio_obs(
     ext.see.priority = hca_ddg::PriorityPolicy::ExternalOperandsFirst;
     variants.push(ext);
 
-    // One sub-problem cache shared by every variant: the memo key encodes
-    // the solving configuration, so cross-variant reuse happens exactly
-    // when two variants would solve a sub-problem identically.
-    let shared_memo = crate::memo::Memo::new(crate::memo::Memo::DEFAULT_BUDGET);
-
     let mut best: Option<HcaResult> = None;
     let mut last_err: Option<HcaError> = None;
     for (i, cfg) in variants.into_iter().enumerate() {
         let span = obs
             .span("driver", "portfolio_variant")
             .with_arg("variant", i);
-        let memo = if cfg.memo { Some(&shared_memo) } else { None };
-        let run = run_hca_inner(ddg, fabric, &cfg, obs, memo, &SearchTracer::disabled());
+        let run = run_hca_inner(ddg, fabric, &cfg, obs, None, &SearchTracer::disabled());
         drop(span);
         match run {
             Ok(res) => {

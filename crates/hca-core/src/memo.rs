@@ -2,10 +2,9 @@
 //! byte-budgeted and persistent.
 //!
 //! The decomposition tree frequently contains *isomorphic* sub-problems:
-//! symmetric kernels split into structurally identical children, a
-//! portfolio run re-solves whole subtrees whenever two variants agree on
-//! the solving context, and a long-running `hca serve` daemon sees the same
-//! kernels (or near-duplicates) over and over across requests. This module
+//! symmetric kernels split into structurally identical children, and a
+//! long-running `hca serve` daemon sees the same kernels (or
+//! near-duplicates) over and over across requests. This module
 //! caches each solved [`SubResult`] under a **renumbering-equivariant
 //! canonical key** so an isomorphic sub-problem is answered by rehydrating
 //! the cached subtree instead of re-searching.
@@ -75,6 +74,21 @@
 //! identical result — so the budget bounds memory without affecting output
 //! (pinned by `tests/memo_equivalence.rs`).
 //!
+//! A cache that outlives the run inserting into it — one handed to
+//! [`run_hca_shared`](crate::run_hca_shared), as `hca serve` does — admits
+//! an entry only on *second sight* ([`Memo::offer`]): the first solve of a
+//! key records the key's 64-bit hash in a doorkeeper, a direct-mapped table
+//! of [`DOORKEEPER_SLOTS`] atomic hashes allocated on first use, and drops
+//! the entry (counted in [`Memo::deferred`]); a later solve whose hash is
+//! still there is cached. This is TinyLFU's doorkeeper: a stream of
+//! never-repeating kernels no longer fills the byte budget with entries
+//! nobody reads, while anything that recurs is cached from its second
+//! solve on. A hash collision (or a slot another key overwrote) can only
+//! admit or defer an entry early or late — lookups still compare the full
+//! key, so no output bit depends on the doorkeeper. A run-owned cache
+//! ([`HcaConfig::memo`]) dies with its run and admits at once
+//! ([`Memo::insert`]), and so does [`Memo::load`].
+//!
 //! [`Memo::save`] / [`Memo::load`] persist the canonical entry table as a
 //! versioned JSON snapshot ([`SNAPSHOT_VERSION`]): `hca serve` snapshots on
 //! shutdown and reloads on start, and a snapshot whose version does not
@@ -90,7 +104,7 @@ use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Renumbering-equivariant canonical key of a sub-problem (full encoding,
 /// collision-free by construction).
@@ -124,6 +138,10 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Sentinel for "no LRU neighbour".
 const NIL: usize = usize::MAX;
+
+/// Slots of the second-sight doorkeeper (see the module docs): `1 << 16`
+/// key hashes, 512 KiB, indexed by a hash's top bits.
+const DOORKEEPER_SLOTS: usize = 1 << 16;
 
 /// One cached entry: the canonical value plus its intrusive LRU links.
 struct Entry {
@@ -246,19 +264,23 @@ impl Shard {
 
 /// The shared sub-problem cache: sharded, byte-budgeted, LRU-evicting,
 /// poison-recovering, and snapshot-persistent. One `Memo` may be scoped to
-/// a single run, shared across a portfolio, or owned by a long-running
-/// `hca serve` daemon and shared across every request it ever handles —
-/// the canonical key encodes the fabric and the full solving context, so
-/// cross-request reuse happens exactly when a fresh solve would reproduce
-/// the cached bits.
+/// a single run, or owned by a long-running `hca serve` daemon and shared
+/// across every request it ever handles — the canonical key encodes the
+/// fabric and the full solving context, so cross-request reuse happens
+/// exactly when a fresh solve would reproduce the cached bits.
 pub struct Memo {
     shards: Vec<Mutex<Shard>>,
     /// Total byte budget across all shards (0 = cache nothing).
     budget: usize,
+    /// Hashes of keys [`Memo::offer`]ed once, direct-mapped; allocated by
+    /// the first offer, so a run-owned cache never pays for it. A fixed
+    /// 512 KiB outside the byte budget and [`Memo::approx_bytes`].
+    doorkeeper: OnceLock<Box<[AtomicU64]>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
+    deferred: AtomicU64,
 }
 
 /// Recover a shard guard even when a previous holder panicked: the cache's
@@ -282,10 +304,12 @@ impl Memo {
         Memo {
             shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             budget: budget_bytes,
+            doorkeeper: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
         }
     }
 
@@ -314,10 +338,14 @@ impl Memo {
         self.insertions.load(Ordering::Relaxed)
     }
 
+    /// Lifetime deferrals: solved sub-problems [`Memo::offer`] dropped
+    /// because their key was seen for the first time.
+    pub fn deferred(&self) -> u64 {
+        self.deferred.load(Ordering::Relaxed)
+    }
+
     fn shard_of(&self, key: &MemoKey) -> &Mutex<Shard> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (NUM_SHARDS - 1)]
+        &self.shards[(key_hash(key) as usize) & (NUM_SHARDS - 1)]
     }
 
     pub(crate) fn lookup(&self, key: &MemoKey) -> Option<CanonSub> {
@@ -336,11 +364,12 @@ impl Memo {
         }
     }
 
-    /// First writer wins; by the key contract any two writers hold
-    /// identical canonical content, so the race is benign. Evicts
-    /// least-recently-used entries when the shard's share of the byte
-    /// budget overflows; an entry that alone exceeds that share is not
-    /// cached at all (caching it would immediately evict everything else).
+    /// Cache `sub` under `key` at once. First writer wins; by the key
+    /// contract any two writers hold identical canonical content, so the
+    /// race is benign. Evicts least-recently-used entries when the shard's
+    /// share of the byte budget overflows; an entry that alone exceeds that
+    /// share is not cached at all (caching it would immediately evict
+    /// everything else).
     pub(crate) fn insert(&self, key: MemoKey, sub: CanonSub) {
         let shard_budget = self.budget / NUM_SHARDS;
         let bytes = entry_bytes(&key, &sub);
@@ -363,6 +392,24 @@ impl Memo {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Second-sight admission (see the module docs): cache `sub` only if
+    /// `key`'s hash is already in the doorkeeper; otherwise record the hash
+    /// and drop the entry.
+    pub(crate) fn offer(&self, key: MemoKey, sub: CanonSub) {
+        let hash = key_hash(&key);
+        let doorkeeper = self
+            .doorkeeper
+            .get_or_init(|| (0..DOORKEEPER_SLOTS).map(|_| AtomicU64::new(0)).collect());
+        // The top bits pick the slot (the shard index uses the low ones).
+        let slot = &doorkeeper[(hash >> (64 - DOORKEEPER_SLOTS.trailing_zeros())) as usize];
+        // Relaxed: a slot publishes nothing but its own value.
+        if slot.swap(hash, Ordering::Relaxed) == hash {
+            self.insert(key, sub);
+        } else {
+            self.deferred.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Number of cached canonical sub-problems.
@@ -469,6 +516,14 @@ struct Snapshot {
 struct SnapshotEntry {
     key: Vec<u64>,
     sub: CanonSub,
+}
+
+/// The key's 64-bit hash: its low bits pick the shard, its top bits the
+/// doorkeeper slot.
+fn key_hash(key: &MemoKey) -> u64 {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    h.finish()
 }
 
 /// Accounted heap footprint of one entry — key encoding plus canonical
@@ -848,6 +903,41 @@ mod tests {
         }
         // Counters start clean after a load (minus the lookups just made).
         assert_eq!(back.misses(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn first_offer_defers_and_second_offer_caches() {
+        let m = Memo::new(Memo::DEFAULT_BUDGET);
+        m.offer(key(1, 8), sub(1));
+        assert_eq!(m.entries(), 0, "first sight must not cache");
+        assert_eq!(m.deferred(), 1);
+        assert_eq!(m.insertions(), 0);
+        m.offer(key(1, 8), sub(1));
+        assert_eq!(m.entries(), 1, "second sight must cache");
+        assert_eq!(m.deferred(), 1);
+        assert_eq!(m.insertions(), 1);
+        assert!(m.lookup(&key(1, 8)).is_some());
+        assert_eq!(m.hits(), 1);
+    }
+
+    #[test]
+    fn snapshot_load_restores_entries_without_the_doorkeeper() {
+        let dir = std::env::temp_dir().join("hca_memo_doorkeeper_load");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let m = Memo::new(Memo::DEFAULT_BUDGET);
+        for i in 0..20u64 {
+            m.offer(key(i, 16), sub(i));
+            m.offer(key(i, 16), sub(i));
+        }
+        assert_eq!(m.save(&path).unwrap(), 20);
+        let back = Memo::load(&path, Memo::DEFAULT_BUDGET).unwrap();
+        assert_eq!(back.entries(), 20, "every snapshot entry restored");
+        assert_eq!(back.deferred(), 0);
+        for i in 0..20u64 {
+            assert!(back.lookup(&key(i, 16)).is_some(), "entry {i} missing");
+        }
         std::fs::remove_file(&path).ok();
     }
 

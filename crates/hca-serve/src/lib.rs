@@ -3,8 +3,10 @@
 //! ROADMAP item 1: amortise sub-problem solving *across* runs. A fleet
 //! compiling near-duplicate kernels re-solves the same decomposition
 //! subtrees endlessly; this crate keeps one process alive with a shared,
-//! sharded, byte-budgeted [`Memo`](hca_core::Memo) cache so the second
-//! request for an isomorphic sub-problem is a lookup, not a search.
+//! sharded, byte-budgeted [`Memo`](hca_core::Memo) cache so an isomorphic
+//! sub-problem that keeps coming back is a lookup, not a search. The cache
+//! admits a sub-problem on its second solve, so one-off kernels do not
+//! crowd it.
 //!
 //! * [`protocol`] — the JSON-lines wire format (requests, responses,
 //!   [`CompileSummary`] with its bit-identity digest);
@@ -33,4 +35,6 @@ pub use kernels::resolve_kernel;
 pub use protocol::{
     summarise, CompileSpec, CompileSummary, ItemResult, Request, Response, StatsReport,
 };
-pub use server::{parse_machine, Bind, Server, ServerConfig, StopHandle, MAX_LINE_BYTES};
+pub use server::{
+    parse_machine, Bind, Server, ServerConfig, StopHandle, MAX_LINE_BYTES, WRITE_TIMEOUT,
+};

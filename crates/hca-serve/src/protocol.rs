@@ -22,9 +22,9 @@
 //! A malformed line still gets a response (`ok:false`, `id:0` when the id
 //! could not be parsed) — a daemon must never answer garbage with silence.
 //!
-//! [`Client`](crate::Client) sends each request with `write_line`: one
-//! write per line, so the newline never trails in a second TCP segment
-//! that waits out the peer's delayed ACK.
+//! Both sides send each line with `write_line`: one write per line, so
+//! the newline never trails in a second TCP segment that waits out the
+//! peer's delayed ACK.
 
 use hca_core::HcaResult;
 use hca_ddg::Ddg;
@@ -173,6 +173,9 @@ pub struct StatsReport {
     pub memo_evictions: u64,
     /// Entries inserted since start.
     pub memo_insertions: u64,
+    /// Solved sub-problems not cached because their key was seen for the
+    /// first time (the cache admits an entry on its second solve).
+    pub memo_deferred: u64,
     /// Cached sub-problems right now.
     pub memo_entries: usize,
     /// Approximate cache footprint, bytes.

@@ -11,14 +11,19 @@
 //! [`Memo`] cache, so near-duplicate traffic turns into cache hits
 //! whatever connection it arrives on.
 //!
-//! The accept loop polls a non-blocking listener and a stop flag;
-//! connection readers poll with a short read timeout. A `shutdown` request
-//! flips the flag, every thread drains within a poll interval, and the
-//! cache is snapshotted to disk (versioned; a stale snapshot is discarded
-//! on the next start, never trusted).
+//! The accept loop polls a non-blocking listener and a stop flag, and
+//! joins the handlers that have finished on every pass; connection readers
+//! poll with a short read timeout, and a reply write that stalls for
+//! [`WRITE_TIMEOUT`] ends its connection. A `shutdown` request flips the
+//! flag, every thread drains within a poll interval (a blocked writer
+//! within the write timeout), and the cache is snapshotted to disk
+//! (versioned; a stale snapshot is discarded on the next start, never
+//! trusted).
 
 use crate::kernels::resolve_kernel;
-use crate::protocol::{summarise, CompileSpec, ItemResult, Request, Response, StatsReport};
+use crate::protocol::{
+    summarise, write_line, CompileSpec, ItemResult, Request, Response, StatsReport,
+};
 use hca_arch::DspFabric;
 use hca_core::{run_hca_shared, HcaConfig, Memo};
 use hca_ddg::Ddg;
@@ -30,6 +35,7 @@ use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Where the daemon listens.
@@ -84,6 +90,7 @@ impl Shared {
             memo_misses: self.memo.misses(),
             memo_evictions: self.memo.evictions(),
             memo_insertions: self.memo.insertions(),
+            memo_deferred: self.memo.deferred(),
             memo_entries: self.memo.entries(),
             memo_bytes: self.memo.approx_bytes(),
             memo_budget: self.memo.budget(),
@@ -112,6 +119,11 @@ pub struct Server {
 
 /// Accept-loop poll interval; also bounds how long shutdown drains.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Longest a reply write may block before the daemon gives up on the
+/// connection: a client that pipelines requests and never reads its
+/// replies cannot pin a handler (and with it shutdown) for longer.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Longest request line the daemon reads, in bytes, newline included. An
 /// inline DDG of tens of thousands of nodes fits; a longer line is answered
@@ -184,43 +196,46 @@ impl Server {
     /// Serve until a `shutdown` request (or [`Server::stop_handle`] flips),
     /// then drain connections, snapshot the cache, and return final stats.
     pub fn run(self) -> std::io::Result<StatsReport> {
-        let mut handles = Vec::new();
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
         while !self.shared.stop.load(Ordering::SeqCst) {
-            let accepted = match &self.listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        stream.set_read_timeout(Some(POLL))?;
-                        let shared = Arc::clone(&self.shared);
-                        handles.push(std::thread::spawn(move || {
-                            handle_connection(&shared, &stream, stream.try_clone());
-                        }));
-                        true
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                    Err(e) => return Err(e),
-                },
+            // A finished handler keeps its thread stack mapped until it is
+            // joined: join now, not at shutdown.
+            for h in handles.extract_if(.., |h| h.is_finished()) {
+                let _ = h.join();
+            }
+            let handler = match &self.listener {
+                Listener::Tcp(l) => l.accept().and_then(|(stream, _)| {
+                    stream.set_nonblocking(false)?;
+                    // Replies are single complete lines: send each at once.
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(POLL))?;
+                    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+                    let shared = Arc::clone(&self.shared);
+                    Ok(std::thread::spawn(move || {
+                        handle_connection(&shared, &stream, stream.try_clone());
+                    }))
+                }),
                 #[cfg(unix)]
-                Listener::Unix(l) => match l.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        stream.set_read_timeout(Some(POLL))?;
-                        let shared = Arc::clone(&self.shared);
-                        handles.push(std::thread::spawn(move || {
-                            handle_connection(&shared, &stream, stream.try_clone());
-                        }));
-                        true
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                    Err(e) => return Err(e),
-                },
+                Listener::Unix(l) => l.accept().and_then(|(stream, _)| {
+                    stream.set_nonblocking(false)?;
+                    stream.set_read_timeout(Some(POLL))?;
+                    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+                    let shared = Arc::clone(&self.shared);
+                    Ok(std::thread::spawn(move || {
+                        handle_connection(&shared, &stream, stream.try_clone());
+                    }))
+                }),
             };
-            if !accepted {
-                std::thread::sleep(POLL);
+            match handler {
+                Ok(h) => handles.push(h),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                Err(e) => return Err(e),
             }
         }
         // Connection readers poll the stop flag between timeouts, so every
-        // handler exits within ~one interval even if its client lingers.
+        // handler exits within ~one interval even if its client lingers; a
+        // handler blocked on a client that stopped reading gives up after
+        // `WRITE_TIMEOUT`.
         for h in handles {
             let _ = h.join();
         }
@@ -310,10 +325,8 @@ fn handle_connection<R: std::io::Read>(
                 let Ok(body) = serde_json::to_string(&resp) else {
                     return;
                 };
-                if writeln!(writer, "{body}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                // A failed or timed-out write ends the connection.
+                if write_line(&mut writer, &body).is_err() {
                     return;
                 }
                 if shutdown {

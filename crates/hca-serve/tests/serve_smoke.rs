@@ -4,12 +4,13 @@
 
 use hca_serve::{
     Client, CompileSpec, Request, Response, Server, ServerConfig, StopHandle, MAX_LINE_BYTES,
+    WRITE_TIMEOUT,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -236,4 +237,92 @@ fn oversized_line_gets_an_error_and_the_daemon_keeps_accepting() {
     client.ping().expect("daemon still serves new connections");
     stop.stop();
     daemon.join().expect("daemon thread");
+}
+
+/// Every reply leaves in one segment on a `TCP_NODELAY` socket, so a round
+/// trip does not wait out the client's delayed ACK (~40 ms on Linux).
+#[test]
+fn ping_round_trip_waits_out_no_delayed_ack() {
+    let (addr, stop, daemon) = boot();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    for _ in 0..20 {
+        client.ping().expect("warm-up ping");
+    }
+    let mut ms: Vec<f64> = (0..21)
+        .map(|_| {
+            let t = Instant::now();
+            client.ping().expect("ping");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    stop.stop();
+    daemon.join().expect("daemon thread");
+    assert!(
+        median < 25.0,
+        "median ping round trip {median:.3} ms: a reply waited out a delayed ACK"
+    );
+}
+
+/// A client that pipelines requests and never reads the replies blocks its
+/// handler in a write. The daemon must keep serving other clients, and
+/// shutdown must finish once the write timeout has ended that connection.
+#[test]
+fn client_that_never_reads_cannot_hang_shutdown() {
+    const PIPELINED: usize = 200_000;
+    let (addr, stop, daemon) = boot();
+    let hog = TcpStream::connect(&addr).expect("connect");
+    let mut hog_writer = hog.try_clone().expect("clone");
+    hog_writer
+        .set_write_timeout(Some(Duration::from_secs(60)))
+        .expect("write timeout");
+    // Once the replies back up the daemon stops reading, and this write can
+    // block in turn: it runs on its own thread. `hog` keeps the connection
+    // open whether or not the write finishes.
+    let writer = std::thread::spawn(move || {
+        let burst = b"{\"id\":1,\"op\":\"stats\"}\n".repeat(PIPELINED);
+        let _ = hog_writer.write_all(&burst);
+    });
+
+    let mut client = Client::connect_tcp(&addr).expect("second connection");
+    let served = client
+        .compile(spec("dot_product"))
+        .expect("another client is served meanwhile");
+    assert!(served.legal);
+    // Wait until the hog's handler stops answering: between two `stats`
+    // calls the daemon handles nothing but the second call.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last = client.stats().expect("stats").requests;
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = client.stats().expect("stats").requests;
+        if now == last + 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the pipelined requests never stalled"
+        );
+        last = now;
+    }
+    assert!(
+        (last as usize) < PIPELINED,
+        "the daemon answered all {last} requests: the replies never backed up"
+    );
+    drop(client);
+
+    stop.stop();
+    let stopped = Instant::now();
+    while !daemon.is_finished() && stopped.elapsed() < WRITE_TIMEOUT + Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        daemon.is_finished(),
+        "run() still blocked {:?} after stop: a handler is stuck writing to a client that never reads",
+        stopped.elapsed()
+    );
+    daemon.join().expect("daemon thread");
+    drop(hog);
+    writer.join().expect("writer thread");
 }

@@ -164,3 +164,63 @@ fn eviction_under_a_tiny_budget_never_changes_results() {
     );
     hca_par::set_thread_override(None);
 }
+
+/// A cache handed to `run_hca_shared` admits a sub-problem on its second
+/// solve only, so a stream of never-repeating kernels leaves next to
+/// nothing behind: most misses are deferred, not inserted.
+#[test]
+fn handed_in_cache_keeps_one_off_kernels_out() {
+    use hca_repro::hca::{run_hca_shared, Memo};
+
+    let _g = OVERRIDE_LOCK.lock().unwrap();
+    let fabric = DspFabric::standard(8, 8, 8);
+    let config = HcaConfig::default();
+    let obs = hca_obs::Obs::disabled();
+    let memo = Memo::new(Memo::DEFAULT_BUDGET);
+    for seed in 0..20u64 {
+        let kernel = format!("synthetic:48:{seed}");
+        let (_, ddg) = hca_serve::resolve_kernel(&kernel).unwrap();
+        run_hca_shared(&ddg, &fabric, &config, &obs, &memo)
+            .unwrap_or_else(|e| panic!("{kernel}: {e}"));
+    }
+    assert!(
+        memo.entries() * 4 <= memo.misses() as usize,
+        "one-off kernels filled the cache: {} entries for {} misses ({} deferred)",
+        memo.entries(),
+        memo.misses(),
+        memo.deferred()
+    );
+    assert!(memo.deferred() > 0);
+}
+
+/// A repeated kernel is cached from its second solve on: the third call is
+/// answered by one root hit, and every call serves the direct run's bits.
+#[test]
+fn handed_in_cache_answers_the_third_call_at_the_root() {
+    use hca_repro::hca::{run_hca_shared, Memo};
+
+    let _g = OVERRIDE_LOCK.lock().unwrap();
+    let fabric = DspFabric::standard(8, 8, 8);
+    let config = HcaConfig::default();
+    let obs = hca_obs::Obs::disabled();
+    let (name, ddg) = hca_serve::resolve_kernel("fir2dim").unwrap();
+    let direct = run_hca(&ddg, &fabric, &config).unwrap();
+    let want = hca_serve::summarise(&name, &ddg, &direct).digest;
+
+    let memo = Memo::new(Memo::DEFAULT_BUDGET);
+    let mut counts = Vec::new();
+    for call in 1..=3 {
+        let res = run_hca_shared(&ddg, &fabric, &config, &obs, &memo)
+            .unwrap_or_else(|e| panic!("call {call}: {e}"));
+        let got = hca_serve::summarise(&name, &ddg, &res).digest;
+        assert_eq!(got, want, "call {call}: digest diverges from run_hca");
+        counts.push((memo.hits(), memo.misses()));
+    }
+    let (hits2, misses2) = counts[1];
+    let (hits3, misses3) = counts[2];
+    assert_eq!(
+        (hits3 - hits2, misses3 - misses2),
+        (1, 0),
+        "the third call must be exactly one root hit (counts after each call: {counts:?})"
+    );
+}
