@@ -191,6 +191,8 @@ impl Topology {
 
     /// Validate every group against the machine's MUX budgets.
     pub fn validate(&self, fabric: &DspFabric) -> Result<(), TopologyError> {
+        let mut out_per_member = Vec::new();
+        let mut in_per_member = Vec::new();
         for (path, gt) in &self.groups {
             let depth = path.len();
             if depth >= fabric.depth() {
@@ -206,8 +208,10 @@ impl Topology {
             };
             let mut glue_in = 0usize;
             let mut glue_out = 0usize;
-            let mut out_per_member = vec![0usize; spec.arity];
-            let mut in_per_member = vec![0usize; spec.arity];
+            out_per_member.clear();
+            out_per_member.resize(spec.arity, 0usize);
+            in_per_member.clear();
+            in_per_member.resize(spec.arity, 0usize);
             for w in &gt.wires {
                 match w.src {
                     WireSource::Member(m) => {

@@ -149,6 +149,7 @@ fn main() {
         stats.memo_entries,
         stats.memo_bytes
     );
+    println!("  stages       {}", stats.stage_means());
     if stats.snapshot_entries > 0 {
         println!(
             "  snapshot     {} entries restored at boot",

@@ -7,7 +7,7 @@
 //! 1. `run_hca` under [`ValidationLevel::Strict`] — any typed error fails;
 //! 2. result invariants — complete placement, `final_mii ≥ theoretical`,
 //!    legal coherency report;
-//! 3. differential coherency — the memoized checker and the independent
+//! 3. differential coherency — the production checker and the independent
 //!    fixpoint checker must agree on every edge;
 //! 4. flat-ICA oracle (≤ `max_nodes` small graphs) — the oracle optimum
 //!    must be ≥ the theoretical bound, and HCA's `final_mii` must stay

@@ -6,8 +6,8 @@
 //!   optimal resource-MII of small DDGs (≤ ~12 nodes) over the flattened
 //!   machine, used as a quality yardstick for HCA's `final_mii`;
 //! * [`reach`] — an independent **fixpoint coherency checker**,
-//!   differentially compared against `hca_core::coherency`'s memoized
-//!   recursion edge by edge;
+//!   differentially compared against `hca_core::coherency`'s forward
+//!   propagation edge by edge;
 //! * [`fuzz`] + [`gen`] + [`shrink`] + [`journal`] — a **seeded DDG
 //!   fuzzer**: random loop kernels through `run_hca` under
 //!   `ValidationLevel::Strict`, the differential coherency check, the

@@ -1,9 +1,9 @@
 //! Fixpoint reachability over the configured topology — an independent
 //! re-implementation of the coherency question answered by
-//! `hca_core::coherency` (which uses memoized mutual recursion with an
-//! in-progress marker). Here the same two predicates are computed as the
-//! least fixpoint of a monotone system over every member path of the
-//! machine:
+//! `hca_core::coherency` (which propagates each value forward from its
+//! producer over a per-check index of the wires). Here the same two
+//! predicates are computed as the least fixpoint of a monotone system,
+//! swept round-robin over every member path of the machine:
 //!
 //! * `emit[p]` — value `v` can be driven onto member `p`'s output wires;
 //! * `recv[p]` — `v` is delivered into `p` from its parent group.
@@ -143,8 +143,8 @@ impl<'a> Fixpoint<'a> {
 }
 
 /// Does value `v`, produced on CN `src`, arrive at CN `dst`? Same question
-/// as `hca_core::coherency::value_delivered`, answered by fixpoint
-/// iteration instead of memoized recursion.
+/// as `hca_core::coherency::value_delivered`, answered by a round-robin
+/// sweep over every member path instead of forward propagation.
 pub fn value_delivered_fixpoint(
     fabric: &DspFabric,
     topo: &Topology,
@@ -202,11 +202,11 @@ pub fn differential_coherency(
         if cu == cw {
             continue;
         }
-        let memoized = hca_core::coherency::value_delivered(fabric, topo, e.src, cu, cw);
+        let checker = hca_core::coherency::value_delivered(fabric, topo, e.src, cu, cw);
         let fixpoint = value_delivered_fixpoint(fabric, topo, e.src, cu, cw);
-        if memoized != fixpoint {
+        if checker != fixpoint {
             out.push(format!(
-                "edge {eid:?} (value {} {cu} -> {cw}): memoized says {memoized}, fixpoint says {fixpoint}",
+                "edge {eid:?} (value {} {cu} -> {cw}): checker says {checker}, fixpoint says {fixpoint}",
                 e.src
             ));
         }

@@ -25,16 +25,8 @@ pub(crate) fn cmd_kernels() -> Result<(), String> {
             k.expected.paper_final_mii
         );
     }
-    for (name, g) in [
-        ("fir8", hca_kernels::dspstone::fir(8)),
-        ("biquad", hca_kernels::dspstone::biquad()),
-        ("matvec8", hca_kernels::dspstone::matvec_row(8)),
-        ("dot_product", hca_kernels::dspstone::dot_product()),
-        ("n_real_updates", hca_kernels::dspstone::n_real_updates(4)),
-        ("convolution", hca_kernels::dspstone::convolution(8)),
-        ("lms", hca_kernels::dspstone::lms(8)),
-        ("matrix1x3", hca_kernels::dspstone::matrix1x3()),
-    ] {
+    for name in hca_kernels::DSPSTONE_NAMES {
+        let g = hca_kernels::builtin(name).expect("a listed DSPstone name builds");
         println!(
             "{:<16} {:>8} {:>7} {:>7} {:>7}  DSPstone extra",
             name,
@@ -456,5 +448,6 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
         stats.memo_entries,
         stats.memo_bytes,
     );
+    eprintln!("hca-serve: stages: {}", stats.stage_means());
     Ok(())
 }

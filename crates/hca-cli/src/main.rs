@@ -385,24 +385,7 @@ impl Options {
                 (name, ddg)
             }
         };
-        if let Some(k) = hca_kernels::table1_kernels()
-            .into_iter()
-            .find(|k| k.name == target)
-        {
-            return Ok(finish(k.name.to_string(), k.ddg));
-        }
-        let extra = match target {
-            "fir8" => Some(hca_kernels::dspstone::fir(8)),
-            "biquad" => Some(hca_kernels::dspstone::biquad()),
-            "matvec8" => Some(hca_kernels::dspstone::matvec_row(8)),
-            "dot_product" => Some(hca_kernels::dspstone::dot_product()),
-            "n_real_updates" => Some(hca_kernels::dspstone::n_real_updates(4)),
-            "convolution" => Some(hca_kernels::dspstone::convolution(8)),
-            "lms" => Some(hca_kernels::dspstone::lms(8)),
-            "matrix1x3" => Some(hca_kernels::dspstone::matrix1x3()),
-            _ => None,
-        };
-        if let Some(g) = extra {
+        if let Some(g) = hca_kernels::builtin(target) {
             return Ok(finish(target.to_string(), g));
         }
         let body = std::fs::read_to_string(target).map_err(|e| {

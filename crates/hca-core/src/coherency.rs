@@ -3,23 +3,27 @@
 //! for the presence of a communication path on the final architecture
 //! between each pair of clusters that contains dependent nodes of the DDG."
 //!
-//! Reachability over the configured hierarchy is defined by mutual
-//! recursion:
+//! Reachability over the configured hierarchy is defined by two rules per
+//! value `v`:
 //!
-//! * `can_emit(m)` — value `v` can be driven onto member `m`'s output wires:
+//! * `can_emit(m)` — `v` can be driven onto member `m`'s output wires:
 //!   `m` is the producing CN, a non-producing CN that received `v`, or a
 //!   group whose child topology carries `v` up on a `to_parent` wire;
 //! * `delivered(m)` — `v` enters `m` from its parent group: some configured
 //!   wire there carries `v`, lists `m` as receiver, and is itself properly
 //!   sourced (a sibling that can emit, or a glue wire from above).
 //!
-//! Cycles (mutual pass-through claims with no real source) resolve to
-//! *unreachable* via an in-progress marker.
+//! The checker computes the least fixpoint of these rules forward, once per
+//! produced value: starting from the producer, each fact that becomes true
+//! fires the wires carrying `v` that it feeds. Mutual pass-through claims
+//! with no real source are never reached, so they stay *unreachable*.
+//! The topology is indexed once per check — every member path of the
+//! fabric gets a dense id, and every value the list of wires carrying it —
+//! so a dependence is answered by one flag lookup.
 
 use hca_arch::topology::WireSource;
 use hca_arch::{CnId, DspFabric, Topology};
-use hca_ddg::{Ddg, EdgeId, NodeId};
-use rustc_hash::FxHashMap;
+use hca_ddg::{Ddg, EdgeId, NodeId, Opcode};
 use std::fmt;
 
 /// One unsatisfied dependence.
@@ -59,111 +63,172 @@ impl CoherencyReport {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Query {
-    CanEmit,
-    Delivered,
+/// A [`Topology`] indexed for reachability queries over one fabric.
+///
+/// Facts: member path `p` with dense id `i` has two, `2i` is `can_emit(p)`
+/// and `2i + 1` is `delivered(p)`. A wire's source fact is its source
+/// member's `can_emit`, or for a glue wire its group's `delivered`; when
+/// the source fact holds, the wire makes its target facts hold: `delivered`
+/// of each receiver, and `can_emit` of its group when it continues upward.
+struct Reach {
+    /// Dense id of the first CN path; CN `c` has id `first_cn + c`.
+    first_cn: usize,
+    /// Target facts of wire `w`: `targets[wires[w].clone()]`.
+    wires: Vec<std::ops::Range<usize>>,
+    targets: Vec<u32>,
+    /// `(source fact, wire)` of the wires carrying value `v`, sorted by
+    /// source: `by_value[carried[v]..carried[v + 1]]`.
+    carried: Vec<usize>,
+    by_value: Vec<(u32, u32)>,
+    /// Per fact: the propagation stamp that made it true.
+    stamp: Vec<u32>,
+    now: u32,
+    work: Vec<u32>,
 }
 
-struct Reach<'a> {
-    fabric: &'a DspFabric,
-    topo: &'a Topology,
-    value: NodeId,
-    producer: Vec<usize>,
-    memo: FxHashMap<(Vec<usize>, Query), Option<bool>>,
+/// Dense id of a member path: the root is 0, then the paths of each length
+/// in lexicographic order. `None` when the path leaves the fabric.
+fn member_id(first: &[usize], fabric: &DspFabric, path: &[usize]) -> Option<usize> {
+    let mut flat = 0usize;
+    for (d, &ix) in path.iter().enumerate() {
+        let arity = fabric.levels.get(d)?.arity;
+        if ix >= arity {
+            return None;
+        }
+        flat = flat * arity + ix;
+    }
+    Some(first[path.len()] + flat)
 }
 
-impl Reach<'_> {
-    fn can_emit(&mut self, m_path: &[usize]) -> bool {
-        if m_path == self.producer.as_slice() {
-            return true;
+impl Reach {
+    fn new(fabric: &DspFabric, topo: &Topology) -> Reach {
+        // first[l]: dense id of the first member path of length l.
+        let mut first = vec![0usize, 1];
+        let mut width = 1usize;
+        for spec in &fabric.levels {
+            width *= spec.arity;
+            first.push(first[first.len() - 1] + width);
         }
-        let key = (m_path.to_vec(), Query::CanEmit);
-        match self.memo.get(&key) {
-            Some(Some(b)) => return *b,
-            Some(None) => return false, // in progress: cyclic claim
-            None => {}
-        }
-        self.memo.insert(key.clone(), None);
-        let result = if m_path.len() == self.fabric.depth() {
-            // A CN that is not the producer can only re-emit what it received.
-            self.delivered(m_path)
-        } else {
-            let mut ok = false;
-            if let Some(g) = self.topo.group(m_path) {
-                let candidates: Vec<WireSource> = g
-                    .wires
-                    .iter()
-                    .filter(|w| w.to_parent && w.carries(self.value))
-                    .map(|w| w.src)
-                    .collect();
-                for src in candidates {
-                    match src {
-                        WireSource::Member(s) => {
-                            let mut child = m_path.to_vec();
-                            child.push(s);
-                            if self.can_emit(&child) {
-                                ok = true;
-                                break;
-                            }
-                        }
-                        WireSource::Parent => {
-                            // MUX pass-through: down into the group and back up.
-                            if self.delivered(m_path) {
-                                ok = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            ok
+        let depth = fabric.depth();
+        let mut reach = Reach {
+            first_cn: first[depth],
+            wires: Vec::new(),
+            targets: Vec::new(),
+            carried: Vec::new(),
+            by_value: Vec::new(),
+            stamp: vec![0; 2 * first[depth + 1]],
+            now: 0,
+            work: Vec::new(),
         };
-        self.memo.insert(key, Some(result));
-        result
+        // Index every wire of every group that addresses a real group; a
+        // wire naming a member the group does not have is skipped
+        // (`Topology::validate` reports it).
+        let mut carried_by: Vec<(u32, (u32, u32))> = Vec::new();
+        for (path, group) in topo.iter() {
+            if path.len() >= depth {
+                continue;
+            }
+            let Some(g) = member_id(&first, fabric, path) else {
+                continue;
+            };
+            let arity = fabric.level(path.len()).arity;
+            let child = |m: usize| {
+                (m < arity).then(|| first[path.len() + 1] + (g - first[path.len()]) * arity + m)
+            };
+            for w in &group.wires {
+                let source = match w.src {
+                    WireSource::Member(s) => match child(s) {
+                        Some(c) => 2 * c,
+                        None => continue,
+                    },
+                    // The root has no parent: its glue wires never fire.
+                    WireSource::Parent if path.is_empty() => continue,
+                    WireSource::Parent => 2 * g + 1,
+                };
+                let begin = reach.targets.len();
+                reach.targets.extend(
+                    w.receivers
+                        .iter()
+                        .filter_map(|&r| child(r))
+                        .map(|c| (2 * c + 1) as u32),
+                );
+                if w.to_parent && !path.is_empty() {
+                    reach.targets.push((2 * g) as u32);
+                }
+                let id = reach.wires.len() as u32;
+                reach.wires.push(begin..reach.targets.len());
+                carried_by.extend(w.values.iter().map(|v| (v.0, (source as u32, id))));
+            }
+        }
+        // Group the wires by carried value (a counting sort).
+        let values = carried_by
+            .iter()
+            .map(|&(v, _)| v as usize + 1)
+            .max()
+            .unwrap_or(0);
+        reach.carried = vec![0; values + 1];
+        for &(v, _) in &carried_by {
+            reach.carried[v as usize + 1] += 1;
+        }
+        for v in 0..values {
+            reach.carried[v + 1] += reach.carried[v];
+        }
+        let mut next = reach.carried.clone();
+        reach.by_value = vec![(0, 0); carried_by.len()];
+        for (v, wire) in carried_by {
+            reach.by_value[next[v as usize]] = wire;
+            next[v as usize] += 1;
+        }
+        for v in 0..values {
+            reach.by_value[reach.carried[v]..reach.carried[v + 1]].sort_unstable();
+        }
+        reach
     }
 
-    fn delivered(&mut self, m_path: &[usize]) -> bool {
-        if m_path.is_empty() {
-            return false; // the root has no parent to receive from
-        }
-        let key = (m_path.to_vec(), Query::Delivered);
-        match self.memo.get(&key) {
-            Some(Some(b)) => return *b,
-            Some(None) => return false,
-            None => {}
-        }
-        self.memo.insert(key.clone(), None);
-        let (g_path, m) = (&m_path[..m_path.len() - 1], m_path[m_path.len() - 1]);
-        let mut result = false;
-        if let Some(g) = self.topo.group(g_path) {
-            let candidates: Vec<WireSource> = g
-                .wires
+    /// Propagate value `v` forward from its producer CN to the least
+    /// fixpoint; afterwards [`Reach::delivered`] answers for this value.
+    fn propagate(&mut self, v: NodeId, producer: CnId) {
+        self.now += 1;
+        let wires: &[(u32, u32)] = match self.carried.get(v.index()..v.index() + 2) {
+            Some(range) => &self.by_value[range[0]..range[1]],
+            None => &[],
+        };
+        let Reach {
+            first_cn,
+            wires: all,
+            targets,
+            stamp,
+            now,
+            work,
+            ..
+        } = self;
+        let mut set = |fact: u32, work: &mut Vec<u32>| {
+            if stamp[fact as usize] != *now {
+                stamp[fact as usize] = *now;
+                work.push(fact);
+            }
+        };
+        set((2 * (*first_cn + producer.index())) as u32, work);
+        while let Some(fact) = work.pop() {
+            // A CN that received the value can re-emit it.
+            if fact % 2 == 1 && fact as usize / 2 >= *first_cn {
+                set(fact - 1, work);
+            }
+            let fed = wires.partition_point(|&(source, _)| source < fact);
+            for &(_, w) in wires[fed..]
                 .iter()
-                .filter(|w| w.carries(self.value) && w.receivers.contains(&m))
-                .map(|w| w.src)
-                .collect();
-            for src in candidates {
-                match src {
-                    WireSource::Member(s) => {
-                        let mut sib = g_path.to_vec();
-                        sib.push(s);
-                        if self.can_emit(&sib) {
-                            result = true;
-                            break;
-                        }
-                    }
-                    WireSource::Parent => {
-                        if self.delivered(g_path) {
-                            result = true;
-                            break;
-                        }
-                    }
+                .take_while(|&&(source, _)| source == fact)
+            {
+                for &target in &targets[all[w as usize].clone()] {
+                    set(target, work);
                 }
             }
         }
-        self.memo.insert(key, Some(result));
-        result
+    }
+
+    /// Did the last propagated value arrive at CN `dst`?
+    fn delivered(&self, dst: CnId) -> bool {
+        self.stamp[2 * (self.first_cn + dst.index()) + 1] == self.now
     }
 }
 
@@ -179,22 +244,17 @@ pub fn value_delivered(
     if src == dst {
         return true;
     }
-    let mut r = Reach {
-        fabric,
-        topo,
-        value: v,
-        producer: fabric.cn_path(src),
-        memo: FxHashMap::default(),
-    };
-    let dst_path = fabric.cn_path(dst);
-    r.delivered(&dst_path)
+    let mut reach = Reach::new(fabric, topo);
+    reach.propagate(v, src);
+    reach.delivered(dst)
 }
 
 /// Run the full coherency check over every dependence of `ddg`.
 ///
 /// `placement` maps each DDG node to its CN (the post-pass output covers
 /// machine-inserted nodes too, but checking the *original* DDG suffices: the
-/// recv nodes sit on the consumer's CN by construction).
+/// recv nodes sit on the consumer's CN by construction). Violations come in
+/// DDG edge order.
 pub fn check_coherency(
     fabric: &DspFabric,
     topo: &Topology,
@@ -205,23 +265,32 @@ pub fn check_coherency(
     if let Err(e) = topo.validate(fabric) {
         report.topology_errors.push(e.to_string());
     }
-    for eid in ddg.edge_ids() {
-        let e = ddg.edge(eid);
-        if ddg.node(e.src).op == hca_ddg::Opcode::Const {
+    let mut reach = Reach::new(fabric, topo);
+    for v in ddg.node_ids() {
+        if ddg.node(v).op == Opcode::Const {
             continue; // constants are replicated at configuration time
         }
-        let (cu, cw) = (placement(e.src), placement(e.dst));
-        if cu == cw {
-            continue;
-        }
-        if !value_delivered(fabric, topo, e.src, cu, cw) {
-            report.violations.push(Violation {
-                edge: eid,
-                src: cu,
-                dst: cw,
-            });
+        let cu = placement(v);
+        let mut propagated = false;
+        for (eid, e) in ddg.succ_edges(v) {
+            let cw = placement(e.dst);
+            if cu == cw {
+                continue;
+            }
+            if !propagated {
+                reach.propagate(v, cu);
+                propagated = true;
+            }
+            if !reach.delivered(cw) {
+                report.violations.push(Violation {
+                    edge: eid,
+                    src: cu,
+                    dst: cw,
+                });
+            }
         }
     }
+    report.violations.sort_by_key(|v| v.edge);
     report
 }
 

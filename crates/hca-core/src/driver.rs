@@ -671,9 +671,9 @@ fn run_hca_once(
     let coherency = if config.validation == ValidationLevel::Off {
         CoherencyReport::default()
     } else {
-        let place = placement.clone();
         let coherency_span = obs.span("driver", "coherency");
-        let report = check_coherency(fabric, &topology, ddg, &move |n| place[&n]);
+        let place = &final_program.placement;
+        let report = check_coherency(fabric, &topology, ddg, &|n| place[n.index()]);
         drop(coherency_span);
         report
     };

@@ -3,9 +3,11 @@
 //! `MIIRec` — the recurrence-constrained minimum initiation interval — is the
 //! largest `ceil(Σ latency / Σ distance)` over all dependence cycles (Rau,
 //! MICRO '94; used as the data-constraint term of the paper's §4.2 cost
-//! model). We compute it exactly: binary-search the candidate II and test
-//! whether a cycle of positive weight exists under edge weights
-//! `latency − II · distance` (Bellman–Ford style relaxation).
+//! model). We compute it exactly, one strongly connected component at a
+//! time (every cycle lies inside one SCC): binary-search the candidate II
+//! and test whether a cycle of positive weight exists under edge weights
+//! `latency − II · distance` (Bellman–Ford style relaxation over the SCC's
+//! own edges).
 
 use crate::graph::{Ddg, NodeId};
 use rustc_hash::FxHashSet;
@@ -73,7 +75,7 @@ impl DdgAnalysis {
         let topo = intra_topo_order(ddg).ok_or(DdgError::ZeroDistanceCycle)?;
         let levels = asap_alap(ddg, &topo);
         let (scc, num_sccs) = tarjan_scc(ddg);
-        let mii_rec = mii_rec(ddg)?;
+        let mii_rec = mii_rec_in_sccs(ddg, &scc, num_sccs)?;
         Ok(DdgAnalysis {
             topo,
             levels,
@@ -175,19 +177,25 @@ pub fn asap_alap(ddg: &Ddg, topo: &[NodeId]) -> AsapAlap {
 /// synthetic graphs of thousands of nodes, so no recursion.
 pub fn tarjan_scc(ddg: &Ddg) -> (Vec<u32>, u32) {
     const UNVISITED: u32 = u32::MAX;
+    const UNASSIGNED: u32 = u32::MAX;
     let n = ddg.num_nodes();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc = vec![0u32; n];
+    // A visited node is on the Tarjan stack until its SCC is assigned.
+    let mut scc = vec![UNASSIGNED; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0u32;
     let mut scc_count = 0u32;
 
-    // Precomputed successor lists (full graph, carried edges included).
-    let adj: Vec<Vec<usize>> = (0..n)
-        .map(|v| ddg.succs(NodeId(v as u32)).map(NodeId::index).collect())
-        .collect();
+    // Flat successor array (full graph, carried edges included): the
+    // successors of `v` are `succ[first[v]..first[v + 1]]`.
+    let mut first = Vec::with_capacity(n + 1);
+    let mut succ = Vec::with_capacity(ddg.num_edges());
+    for v in ddg.node_ids() {
+        first.push(succ.len());
+        succ.extend(ddg.succs(v).map(NodeId::index));
+    }
+    first.push(succ.len());
 
     // Explicit DFS state: (node, iterator position over its succ edge list).
     let mut call: Vec<(usize, usize)> = Vec::new();
@@ -201,20 +209,18 @@ pub fn tarjan_scc(ddg: &Ddg) -> (Vec<u32>, u32) {
         lowlink[root] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root] = true;
 
         while let Some(&(v, ei)) = call.last() {
-            if ei < adj[v].len() {
+            if first[v] + ei < first[v + 1] {
                 call.last_mut().expect("frame exists").1 += 1;
-                let w = adj[v][ei];
+                let w = succ[first[v] + ei];
                 if index[w] == UNVISITED {
                     index[w] = next_index;
                     lowlink[w] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    on_stack[w] = true;
                     call.push((w, 0));
-                } else if on_stack[w] {
+                } else if scc[w] == UNASSIGNED {
                     lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
@@ -225,7 +231,6 @@ pub fn tarjan_scc(ddg: &Ddg) -> (Vec<u32>, u32) {
                 if lowlink[v] == index[v] {
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
                         scc[w] = scc_count;
                         if w == v {
                             break;
@@ -239,30 +244,40 @@ pub fn tarjan_scc(ddg: &Ddg) -> (Vec<u32>, u32) {
     (scc, scc_count)
 }
 
+/// One dependence edge inside SCC `scc`.
+#[derive(Clone, Copy)]
+struct SccEdge {
+    scc: u32,
+    src: u32,
+    dst: u32,
+    latency: i64,
+    distance: i64,
+}
+
 /// True when a cycle with positive total weight `latency − ii·distance`
-/// exists — i.e. when `ii` violates some recurrence.
-fn has_positive_cycle(ddg: &Ddg, ii: i64) -> bool {
-    let n = ddg.num_nodes();
-    if n == 0 {
-        return false;
+/// exists among the edges of one SCC of `nodes` nodes — i.e. when `ii`
+/// violates one of its recurrences. `dist` is scratch space indexed by
+/// node.
+fn has_positive_cycle(edges: &[SccEdge], nodes: u32, dist: &mut [i64], ii: i64) -> bool {
+    // Every node of the SCC has an edge out of it inside the SCC.
+    for e in edges {
+        dist[e.src as usize] = 0;
     }
     // Longest-path Bellman–Ford from a virtual source connected to all nodes
-    // with weight 0; a positive cycle keeps relaxing past n rounds.
-    let mut dist = vec![0i64; n];
-    for round in 0..n {
+    // with weight 0; a positive cycle keeps relaxing past `nodes` rounds.
+    for round in 0..nodes {
         let mut changed = false;
-        for e in ddg.edges() {
-            let w = i64::from(e.latency) - ii * i64::from(e.distance);
-            let cand = dist[e.src.index()] + w;
-            if cand > dist[e.dst.index()] {
-                dist[e.dst.index()] = cand;
+        for e in edges {
+            let cand = dist[e.src as usize] + e.latency - ii * e.distance;
+            if cand > dist[e.dst as usize] {
+                dist[e.dst as usize] = cand;
                 changed = true;
             }
         }
         if !changed {
             return false;
         }
-        if round == n - 1 {
+        if round == nodes - 1 {
             return true;
         }
     }
@@ -275,23 +290,67 @@ fn has_positive_cycle(ddg: &Ddg, ii: i64) -> bool {
 /// Errors with [`DdgError::ZeroDistanceCycle`] if some cycle has total
 /// distance 0 and positive total latency (no II can satisfy it).
 pub fn mii_rec(ddg: &Ddg) -> Result<u32, DdgError> {
-    let total_lat: i64 = ddg.edges().iter().map(|e| i64::from(e.latency)).sum();
-    let hi_probe = total_lat + 1;
-    if has_positive_cycle(ddg, hi_probe) {
-        return Err(DdgError::ZeroDistanceCycle);
+    let (scc, num_sccs) = tarjan_scc(ddg);
+    mii_rec_in_sccs(ddg, &scc, num_sccs)
+}
+
+/// [`mii_rec`] given the graph's SCCs (as [`tarjan_scc`] returns them).
+///
+/// Each SCC with an internal edge is searched over its own edges only.
+/// The search range runs from the largest MII found so far (already
+/// feasible for the SCC, or the SCC is skipped) to the SCC's own
+/// `Σ latency + 1`: a cycle of distance ≥ 1 cannot outweigh that, so a
+/// positive cycle left there has distance 0.
+fn mii_rec_in_sccs(ddg: &Ddg, scc: &[u32], num_sccs: u32) -> Result<u32, DdgError> {
+    let mut edges: Vec<SccEdge> = ddg
+        .edges()
+        .iter()
+        .filter(|e| scc[e.src.index()] == scc[e.dst.index()])
+        .map(|e| SccEdge {
+            scc: scc[e.src.index()],
+            src: e.src.0,
+            dst: e.dst.0,
+            latency: i64::from(e.latency),
+            distance: i64::from(e.distance),
+        })
+        .collect();
+    if edges.is_empty() {
+        return Ok(1); // no cycle at all
     }
-    // Monotone: larger II ⇒ weights only shrink. Binary search smallest
-    // feasible II in [1, total_lat + 1].
-    let (mut lo, mut hi) = (1i64, hi_probe);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(ddg, mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    edges.sort_unstable_by_key(|e| e.scc);
+    let mut size = vec![0u32; num_sccs as usize];
+    for &c in scc {
+        size[c as usize] += 1;
+    }
+
+    let mut best = 1i64;
+    let mut dist = vec![0i64; ddg.num_nodes()];
+    // An SCC without internal edges (a lone node, no self-loop) has no
+    // cycle and no group here.
+    for edges in edges.chunk_by(|a, b| a.scc == b.scc) {
+        let nodes = size[edges[0].scc as usize];
+        if !has_positive_cycle(edges, nodes, &mut dist, best) {
+            continue;
         }
+        let hi = edges.iter().map(|e| e.latency).sum::<i64>() + 1;
+        if best >= hi || has_positive_cycle(edges, nodes, &mut dist, hi) {
+            return Err(DdgError::ZeroDistanceCycle);
+        }
+        // Monotone: larger II ⇒ weights only shrink. Binary search the
+        // smallest feasible II in (best, hi].
+        let mut lo = best + 1;
+        let mut hi = hi;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if has_positive_cycle(edges, nodes, &mut dist, mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        best = lo;
     }
-    Ok(u32::try_from(lo).expect("MII fits u32"))
+    Ok(u32::try_from(best).expect("MII fits u32"))
 }
 
 #[cfg(test)]

@@ -26,6 +26,12 @@
 //! later — say inside the largest sibling's subtree, on whichever thread
 //! still has work — can claim it. However deep maps nest, one caller never
 //! has more than `w` threads working for it.
+//!
+//! Occupants: a service that runs several requests at once (the serve
+//! daemon runs one handler per connection) holds an [`occupy`] guard per
+//! running request. Each occupant holds one core, so the helper budget is
+//! `w − max(1, occupants)`: a map lends helpers only to cores no running
+//! request holds. With no occupant it is `w − 1`, as above.
 
 #![forbid(unsafe_code)]
 
@@ -86,6 +92,9 @@ static HOST_THREADS: OnceLock<usize> = OnceLock::new();
 /// [`configured_threads`] − 1.
 static HELPERS: AtomicUsize = AtomicUsize::new(0);
 
+/// Cores held by running requests (see [`occupy`]).
+static OCCUPANTS: AtomicUsize = AtomicUsize::new(0);
+
 /// Force the pool width programmatically (`None` restores the environment
 /// default). Takes precedence over `HCA_THREADS`. Used by determinism tests
 /// to compare 1-thread and N-thread runs inside one process.
@@ -138,10 +147,31 @@ pub fn configured_threads() -> usize {
     })
 }
 
+/// Mark the calling request as holding one core of the pool until the
+/// guard drops. While `k ≥ 1` guards live, maps lend at most
+/// `configured_threads() − k` helpers between them, so `k` concurrent
+/// requests and their helpers never oversubscribe the pool width.
+pub fn occupy() -> Occupancy {
+    OCCUPANTS.fetch_add(1, Ordering::SeqCst);
+    Occupancy
+}
+
+/// A core held by a running request; see [`occupy`].
+#[must_use = "the core is released when the guard drops"]
+pub struct Occupancy;
+
+impl Drop for Occupancy {
+    fn drop(&mut self) {
+        OCCUPANTS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Claim up to `want` helper permits from the budget of
-/// `configured_threads() − 1`; fewer (or none) when the budget is short.
+/// `configured_threads() − max(1, occupants)`; fewer (or none) when the
+/// budget is short.
 fn claim_helpers(want: usize) -> Vec<Permit> {
-    let budget = configured_threads() - 1;
+    let held = OCCUPANTS.load(Ordering::SeqCst).max(1);
+    let budget = configured_threads().saturating_sub(held);
     let mut lent = HELPERS.load(Ordering::SeqCst);
     loop {
         let grant = want.min(budget.saturating_sub(lent));
@@ -433,6 +463,35 @@ mod tests {
             0,
             "a helper outlived its map"
         );
+    }
+
+    #[test]
+    fn occupants_hold_cores_of_the_budget() {
+        let _g = serial();
+        set_thread_override(Some(2));
+        let items = [0u8, 1, 2, 3];
+        let caller = std::thread::current().id();
+        // Two running requests hold both cores: the map runs on its caller.
+        let (a, b) = (occupy(), occupy());
+        let ids = par_map(&items, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "a helper ran an item");
+        drop(b);
+        // One request holds one core: the other is lent as a helper, so two
+        // items run at the same time.
+        let met = Rendezvous {
+            arrived: std::sync::Mutex::new(0),
+            all_in: std::sync::Condvar::new(),
+            n: 2,
+        };
+        let ids = par_map(&items[..2], |_| {
+            met.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1], "no helper was lent");
+        drop(a);
+        set_thread_override(None);
+        assert_eq!(OCCUPANTS.load(Ordering::SeqCst), 0, "leaked occupant");
+        assert_eq!(HELPERS.load(Ordering::SeqCst), 0, "leaked permit");
     }
 
     #[test]

@@ -12,24 +12,7 @@ use hca_ddg::Ddg;
 /// `matrix1x3`), and seeded synthetics as `synthetic:<nodes>[:<seed>]`
 /// (seed defaults to `0xB5E7`, decimal or `0x…` hex).
 pub fn resolve_kernel(name: &str) -> Result<(String, Ddg), String> {
-    if let Some(k) = hca_kernels::table1_kernels()
-        .into_iter()
-        .find(|k| k.name == name)
-    {
-        return Ok((k.name.to_string(), k.ddg));
-    }
-    let dspstone = match name {
-        "fir8" => Some(hca_kernels::dspstone::fir(8)),
-        "biquad" => Some(hca_kernels::dspstone::biquad()),
-        "matvec8" => Some(hca_kernels::dspstone::matvec_row(8)),
-        "dot_product" => Some(hca_kernels::dspstone::dot_product()),
-        "n_real_updates" => Some(hca_kernels::dspstone::n_real_updates(4)),
-        "convolution" => Some(hca_kernels::dspstone::convolution(8)),
-        "lms" => Some(hca_kernels::dspstone::lms(8)),
-        "matrix1x3" => Some(hca_kernels::dspstone::matrix1x3()),
-        _ => None,
-    };
-    if let Some(ddg) = dspstone {
+    if let Some(ddg) = hca_kernels::builtin(name) {
         return Ok((name.to_string(), ddg));
     }
     if let Some(rest) = name.strip_prefix("synthetic:") {

@@ -188,6 +188,41 @@ pub struct StatsReport {
     pub errors: u64,
     /// Entries restored from the startup snapshot (0 = cold start).
     pub snapshot_entries: usize,
+    /// `compile` and `compile_batch` requests whose stages are summed in
+    /// the four `*_us` fields below.
+    #[serde(default)]
+    pub timed_requests: u64,
+    /// Lifetime µs spent parsing those requests' JSON lines.
+    #[serde(default)]
+    pub decode_us: u64,
+    /// Lifetime µs spent resolving their kernels and machines (summed over
+    /// a batch's jobs).
+    #[serde(default)]
+    pub resolve_us: u64,
+    /// Lifetime µs spent solving (`run_hca_shared` and the summary; summed
+    /// over a batch's jobs).
+    #[serde(default)]
+    pub solve_us: u64,
+    /// Lifetime µs spent encoding and writing their replies.
+    #[serde(default)]
+    pub encode_us: u64,
+}
+
+impl StatsReport {
+    /// The per-request means of the four stage times, in µs, as one line:
+    /// `decode D, resolve R, solve S, encode+write E µs per compile
+    /// request (N timed)`.
+    pub fn stage_means(&self) -> String {
+        let n = self.timed_requests.max(1) as f64;
+        format!(
+            "decode {:.1}, resolve {:.1}, solve {:.1}, encode+write {:.1} µs per compile request ({} timed)",
+            self.decode_us as f64 / n,
+            self.resolve_us as f64 / n,
+            self.solve_us as f64 / n,
+            self.encode_us as f64 / n,
+            self.timed_requests
+        )
+    }
 }
 
 /// FNV-1a/64 running state.

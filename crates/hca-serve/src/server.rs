@@ -11,14 +11,20 @@
 //! [`Memo`] cache, so near-duplicate traffic turns into cache hits
 //! whatever connection it arrives on.
 //!
-//! The accept loop polls a non-blocking listener and a stop flag, and
-//! joins the handlers that have finished on every pass; connection readers
-//! poll with a short read timeout, and a reply write that stalls for
-//! [`WRITE_TIMEOUT`] ends its connection. A `shutdown` request flips the
-//! flag, every thread drains within a poll interval (a blocked writer
-//! within the write timeout), and the cache is snapshotted to disk
-//! (versioned; a stale snapshot is discarded on the next start, never
-//! trusted).
+//! The accept loop blocks in `accept` and joins the handlers that have
+//! finished on every accept; connection readers poll a stop flag with a
+//! short read timeout, and a reply write that stalls for [`WRITE_TIMEOUT`]
+//! ends its connection. A `shutdown` request (or a [`StopHandle`]) flips
+//! the flag and then connects once to the daemon's own address, which
+//! wakes the blocked `accept`; every thread drains within a poll interval
+//! (a blocked writer within the write timeout), and the cache is
+//! snapshotted to disk (versioned; a stale snapshot is discarded on the
+//! next start, never trusted).
+//!
+//! While a handler runs a request it holds an [`hca_par::occupy`] guard:
+//! concurrent requests each hold a core, and maps lend helpers only to the
+//! cores left over. The `stats` op reports lifetime sums of four stage
+//! times of compile requests: decode, resolve, solve and encode + write.
 
 use crate::kernels::resolve_kernel;
 use crate::protocol::{
@@ -29,14 +35,14 @@ use hca_core::{run_hca_shared, HcaConfig, Memo};
 use hca_ddg::Ddg;
 use hca_obs::Obs;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where the daemon listens.
 #[derive(Clone, Debug)]
@@ -73,18 +79,56 @@ impl Default for ServerConfig {
     }
 }
 
+/// Where a stop connects to wake the blocked `accept`.
+enum Wake {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
+/// Lifetime sums of compile requests' stage times, in nanoseconds.
+#[derive(Default)]
+struct StageTimes {
+    requests: AtomicU64,
+    decode: AtomicU64,
+    resolve: AtomicU64,
+    solve: AtomicU64,
+    encode: AtomicU64,
+}
+
+/// Add the nanoseconds since `t0` to `sum`.
+fn add_since(sum: &AtomicU64, t0: Instant) {
+    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    sum.fetch_add(ns, Ordering::Relaxed);
+}
+
 /// State shared by the accept loop and every connection thread.
 struct Shared {
     memo: Memo,
     hca: HcaConfig,
     stop: AtomicBool,
+    wake: Wake,
     requests: AtomicU64,
     errors: AtomicU64,
+    stages: StageTimes,
     snapshot_entries: usize,
 }
 
 impl Shared {
+    /// Flip the stop flag, then connect once to the daemon's own address
+    /// so a blocked `accept` returns and sees it. A failed connect means
+    /// the listener is already gone.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        match &self.wake {
+            Wake::Tcp(addr) => drop(TcpStream::connect_timeout(addr, POLL)),
+            #[cfg(unix)]
+            Wake::Unix(path) => drop(UnixStream::connect(path)),
+        }
+    }
+
     fn stats(&self) -> StatsReport {
+        let us = |ns: &AtomicU64| ns.load(Ordering::Relaxed) / 1_000;
         StatsReport {
             memo_hits: self.memo.hits(),
             memo_misses: self.memo.misses(),
@@ -97,6 +141,11 @@ impl Shared {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             snapshot_entries: self.snapshot_entries,
+            timed_requests: self.stages.requests.load(Ordering::Relaxed),
+            decode_us: us(&self.stages.decode),
+            resolve_us: us(&self.stages.resolve),
+            solve_us: us(&self.stages.solve),
+            encode_us: us(&self.stages.encode),
         }
     }
 }
@@ -105,6 +154,13 @@ enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener),
+}
+
+/// A connection `accept` returned.
+enum Accepted {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
 }
 
 /// A bound (but not yet running) daemon. [`Server::bind`] loads the
@@ -117,7 +173,7 @@ pub struct Server {
     local_addr: String,
 }
 
-/// Accept-loop poll interval; also bounds how long shutdown drains.
+/// Connection readers' poll interval; bounds how long shutdown drains.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Longest a reply write may block before the daemon gives up on the
@@ -155,12 +211,19 @@ impl Server {
             },
             _ => Memo::new(cfg.memo_budget),
         };
-        let (listener, local_addr) = match &cfg.bind {
+        let (listener, local_addr, wake) = match &cfg.bind {
             Bind::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                let local = l.local_addr()?.to_string();
-                (Listener::Tcp(l), local)
+                let local = l.local_addr()?;
+                // A daemon bound to every interface wakes itself on loopback.
+                let mut wake = local;
+                if wake.ip().is_unspecified() {
+                    wake.set_ip(match wake.ip() {
+                        std::net::IpAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                        std::net::IpAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                (Listener::Tcp(l), local.to_string(), Wake::Tcp(wake))
             }
             #[cfg(unix)]
             Bind::Unix(path) => {
@@ -168,8 +231,11 @@ impl Server {
                 // re-binding it is this daemon's claim.
                 let _ = std::fs::remove_file(path);
                 let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                (Listener::Unix(l), path.display().to_string())
+                (
+                    Listener::Unix(l),
+                    path.display().to_string(),
+                    Wake::Unix(path.clone()),
+                )
             }
         };
         Ok(Server {
@@ -178,8 +244,10 @@ impl Server {
                 memo,
                 hca: cfg.hca,
                 stop: AtomicBool::new(false),
+                wake,
                 requests: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
+                stages: StageTimes::default(),
                 snapshot_entries,
             }),
             snapshot: cfg.snapshot,
@@ -203,9 +271,18 @@ impl Server {
             for h in handles.extract_if(.., |h| h.is_finished()) {
                 let _ = h.join();
             }
-            let handler = match &self.listener {
-                Listener::Tcp(l) => l.accept().and_then(|(stream, _)| {
-                    stream.set_nonblocking(false)?;
+            // Blocks until a client connects or a stop wakes it; the waking
+            // connection (or any that races a stop) is dropped unserved.
+            let accepted = match &self.listener {
+                Listener::Tcp(l) => l.accept().map(|(stream, _)| Accepted::Tcp(stream)),
+                #[cfg(unix)]
+                Listener::Unix(l) => l.accept().map(|(stream, _)| Accepted::Unix(stream)),
+            };
+            if self.shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let handler = accepted.and_then(|accepted| match accepted {
+                Accepted::Tcp(stream) => {
                     // Replies are single complete lines: send each at once.
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(POLL))?;
@@ -214,21 +291,25 @@ impl Server {
                     Ok(std::thread::spawn(move || {
                         handle_connection(&shared, &stream, stream.try_clone());
                     }))
-                }),
+                }
                 #[cfg(unix)]
-                Listener::Unix(l) => l.accept().and_then(|(stream, _)| {
-                    stream.set_nonblocking(false)?;
+                Accepted::Unix(stream) => {
                     stream.set_read_timeout(Some(POLL))?;
                     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
                     let shared = Arc::clone(&self.shared);
                     Ok(std::thread::spawn(move || {
                         handle_connection(&shared, &stream, stream.try_clone());
                     }))
-                }),
-            };
+                }
+            });
             match handler {
                 Ok(h) => handles.push(h),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                // A client that reset before its connection was accepted.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
+                    ) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -271,9 +352,10 @@ pub struct StopHandle {
 }
 
 impl StopHandle {
-    /// Request shutdown; the accept loop exits within one poll interval.
+    /// Request shutdown: wakes the accept loop, which then drains the
+    /// connections (within one poll interval) and returns.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 }
 
@@ -300,10 +382,11 @@ fn handle_connection<R: std::io::Read>(
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
+                let _core = hca_par::occupy();
                 let oversized = line.len() > MAX_LINE_BYTES;
-                let (resp, shutdown) = if oversized {
+                let (resp, after) = if oversized {
                     let msg = format!("bad request: line exceeds {MAX_LINE_BYTES} bytes");
-                    (Response::err(0, msg), false)
+                    (Response::err(0, msg), After::Serve)
                 } else {
                     match std::str::from_utf8(&line) {
                         Ok(text) if text.trim().is_empty() => {
@@ -313,7 +396,7 @@ fn handle_connection<R: std::io::Read>(
                         Ok(text) => dispatch(shared, text),
                         Err(e) => (
                             Response::err(0, format!("bad request: not UTF-8: {e}")),
-                            false,
+                            After::Serve,
                         ),
                     }
                 };
@@ -322,6 +405,7 @@ fn handle_connection<R: std::io::Read>(
                 if !resp.ok {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                 }
+                let t0 = Instant::now();
                 let Ok(body) = serde_json::to_string(&resp) else {
                     return;
                 };
@@ -329,9 +413,16 @@ fn handle_connection<R: std::io::Read>(
                 if write_line(&mut writer, &body).is_err() {
                     return;
                 }
-                if shutdown {
-                    shared.stop.store(true, Ordering::SeqCst);
-                    return;
+                match after {
+                    After::Serve => {}
+                    After::Time => {
+                        add_since(&shared.stages.encode, t0);
+                        shared.stages.requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                    After::Stop => {
+                        shared.stop();
+                        return;
+                    }
                 }
                 if oversized {
                     return;
@@ -351,9 +442,18 @@ fn handle_connection<R: std::io::Read>(
     }
 }
 
-/// Decode and execute one request line. Returns the response and whether
-/// this request asked the daemon to shut down.
-fn dispatch(shared: &Shared, line: &str) -> (Response, bool) {
+/// What a handler does once it has written a reply.
+enum After {
+    Serve,
+    /// Count the reply's encode + write time in the compile stage times.
+    Time,
+    /// Stop the daemon.
+    Stop,
+}
+
+/// Decode and execute one request line.
+fn dispatch(shared: &Shared, line: &str) -> (Response, After) {
+    let t0 = Instant::now();
     let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
@@ -363,32 +463,35 @@ fn dispatch(shared: &Shared, line: &str) -> (Response, bool) {
                 .ok()
                 .and_then(|v| v.field("id").as_u64())
                 .unwrap_or(0);
-            return (Response::err(id, format!("bad request: {e}")), false);
+            return (Response::err(id, format!("bad request: {e}")), After::Serve);
         }
     };
+    let decode_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let id = req.id;
+    let compiled = |resp: Response| {
+        shared.stages.decode.fetch_add(decode_ns, Ordering::Relaxed);
+        (resp, After::Time)
+    };
     match req.op.as_str() {
-        "ping" => (Response::ok(id, &"pong"), false),
-        "stats" => (Response::ok(id, &shared.stats()), false),
+        "ping" => (Response::ok(id, &"pong"), After::Serve),
+        "stats" => (Response::ok(id, &shared.stats()), After::Serve),
         "compile" => {
             // Single jobs run through the same panic-isolating dispatch as
             // batches: a panicking solve fails this request, not the daemon.
             let items = run_jobs(shared, std::slice::from_ref(&req.job));
             let item = items.into_iter().next().expect("one job in, one out");
-            match (item.ok, item.result, item.error) {
-                (true, Some(summary), _) => (Response::ok(id, &summary), false),
-                (_, _, err) => (
-                    Response::err(id, err.unwrap_or_else(|| "compile failed".into())),
-                    false,
-                ),
-            }
+            let resp = match (item.ok, item.result, item.error) {
+                (true, Some(summary), _) => Response::ok(id, &summary),
+                (_, _, err) => Response::err(id, err.unwrap_or_else(|| "compile failed".into())),
+            };
+            compiled(resp)
         }
         "compile_batch" => {
             if req.jobs.is_empty() {
-                return (Response::err(id, "compile_batch needs jobs"), false);
+                return (Response::err(id, "compile_batch needs jobs"), After::Serve);
             }
             let items = run_jobs(shared, &req.jobs);
-            (Response::ok(id, &items), false)
+            compiled(Response::ok(id, &items))
         }
         "crash" => {
             // Diagnostic op: deliberately panic inside the worker dispatch,
@@ -402,10 +505,16 @@ fn dispatch(shared: &Shared, line: &str) -> (Response, bool) {
                 Err(p) => p.to_string(),
                 Ok(()) => "crash op failed to crash".to_string(),
             };
-            (Response::err(id, msg), false)
+            (Response::err(id, msg), After::Serve)
         }
-        "shutdown" => (Response::ok(id, &"shutting down; snapshot on exit"), true),
-        other => (Response::err(id, format!("unknown op `{other}`")), false),
+        "shutdown" => (
+            Response::ok(id, &"shutting down; snapshot on exit"),
+            After::Stop,
+        ),
+        other => (
+            Response::err(id, format!("unknown op `{other}`")),
+            After::Serve,
+        ),
     }
 }
 
@@ -439,15 +548,26 @@ fn compile_one(
     shared: &Shared,
     job: &CompileSpec,
 ) -> Result<crate::protocol::CompileSummary, String> {
-    let (name, ddg): (String, Ddg) = match (&job.ddg, &job.kernel) {
+    let t0 = Instant::now();
+    let resolved = resolve_job(job);
+    add_since(&shared.stages.resolve, t0);
+    let (name, ddg, fabric) = resolved?;
+    let t0 = Instant::now();
+    let solved = run_hca_shared(&ddg, &fabric, &shared.hca, &Obs::disabled(), &shared.memo)
+        .map(|res| summarise(&name, &ddg, &res))
+        .map_err(|e| e.to_string());
+    add_since(&shared.stages.solve, t0);
+    solved
+}
+
+/// A job's kernel name, DDG and machine.
+fn resolve_job(job: &CompileSpec) -> Result<(String, Ddg, DspFabric), String> {
+    let (name, ddg) = match (&job.ddg, &job.kernel) {
         (Some(ddg), _) => ("inline".to_string(), ddg.clone()),
         (None, Some(kernel)) => resolve_kernel(kernel)?,
         (None, None) => return Err("compile needs `kernel` or `ddg`".into()),
     };
-    let fabric = parse_machine(job.machine.as_deref())?;
-    let res = run_hca_shared(&ddg, &fabric, &shared.hca, &Obs::disabled(), &shared.memo)
-        .map_err(|e| e.to_string())?;
-    Ok(summarise(&name, &ddg, &res))
+    Ok((name, ddg, parse_machine(job.machine.as_deref())?))
 }
 
 /// Parse a machine spec: `N,M,K` / `N` MUX capacities of the standard

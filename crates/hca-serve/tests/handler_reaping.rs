@@ -1,7 +1,8 @@
 //! Finished connection handlers are joined while the daemon runs, not at
 //! shutdown: an unjoined thread keeps its stack mapped. This test reads the
 //! process's own `VmSize`, so it lives alone in its file (its own process)
-//! where no parallel test moves the figure.
+//! where no parallel test moves the figure. It also times its cycles: each
+//! new connection is accepted at once, not after a listener poll.
 
 #![cfg(target_os = "linux")]
 
@@ -27,6 +28,7 @@ fn finished_connection_handlers_are_reaped() {
         let mut client = Client::connect_tcp(&addr).expect("connect");
         client.ping().expect("ping");
     };
+    let start = std::time::Instant::now();
     // The first connections settle the allocator's per-thread arenas.
     for _ in 0..20 {
         cycle();
@@ -36,10 +38,15 @@ fn finished_connection_handlers_are_reaped() {
         cycle();
     }
     let grown_mib = vm_size_kib().saturating_sub(before) / 1024;
+    let elapsed = start.elapsed();
     stop.stop();
     daemon.join().expect("daemon thread");
     assert!(
         grown_mib < 128,
         "300 sequential connections grew VmSize by {grown_mib} MiB: finished handlers are not joined"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(3),
+        "320 connect/ping/close cycles took {elapsed:?}: connections wait for a poll"
     );
 }

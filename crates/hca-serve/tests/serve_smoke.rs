@@ -56,6 +56,9 @@ fn daemon_round_trip_and_snapshot_reload() {
         "second compile of the same kernel must hit the cache: {stats:?}"
     );
     assert_eq!(stats.snapshot_entries, 0, "first life starts cold");
+    // Both compiles are timed, stage by stage.
+    assert_eq!(stats.timed_requests, 2, "{stats:?}");
+    assert!(stats.solve_us > 0, "a cold solve takes time: {stats:?}");
 
     // Batch: good jobs succeed in order, a bad job fails only itself.
     let items = client
@@ -262,6 +265,29 @@ fn ping_round_trip_waits_out_no_delayed_ack() {
     assert!(
         median < 25.0,
         "median ping round trip {median:.3} ms: a reply waited out a delayed ACK"
+    );
+}
+
+/// The daemon blocks in `accept`, so a new connection is served at once
+/// instead of waiting out a listener poll (25 ms).
+#[test]
+fn fresh_connections_are_answered_without_a_poll_wait() {
+    let (addr, stop, daemon) = boot();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let mut client = Client::connect_tcp(&addr).expect("connect");
+            client.ping().expect("ping");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    stop.stop();
+    daemon.join().expect("daemon thread");
+    assert!(
+        median < 5.0,
+        "median connect-to-pong {median:.3} ms: new connections wait for a poll"
     );
 }
 
