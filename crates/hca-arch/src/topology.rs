@@ -12,11 +12,11 @@
 //! * per-group budgets: out-wires per member, in-ports per member, glue-in
 //!   and glue-out wire counts (the paper's N/M/K parameters).
 //!
-//! [`Topology::value_reaches`] is the primitive under the paper's coherency
-//! checker: it walks the hierarchy and verifies a value configured out of CN
-//! `u` really arrives at CN `v`.
+//! Whether a value configured out of one CN really arrives at another is
+//! the coherency checker's question (`hca_core::coherency`): it follows
+//! values over these wires, relays included, and answers every DDG edge.
 
-use crate::dspfabric::{CnId, DspFabric, GroupPath};
+use crate::dspfabric::{DspFabric, GroupPath};
 use hca_ddg::NodeId;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -275,60 +275,6 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// Does value `v` (produced at CN `src`) reach CN `dst` on configured
-    /// wires? Walks up from `src` to the deepest common group, across it and
-    /// down to `dst` (see module docs).
-    pub fn value_reaches(&self, fabric: &DspFabric, v: NodeId, src: CnId, dst: CnId) -> bool {
-        if src == dst {
-            return true;
-        }
-        let ps = fabric.cn_path(src);
-        let pd = fabric.cn_path(dst);
-        let meet = ps.iter().zip(&pd).take_while(|(a, b)| a == b).count();
-        let depth = fabric.depth();
-
-        // Ascend: in every group strictly below the meeting group on the
-        // source side, the value must leave on a member wire marked to_parent.
-        for g in (meet + 1..depth).rev() {
-            let group = &ps[..g];
-            let ok = self.group(group).is_some_and(|gt| {
-                gt.wires
-                    .iter()
-                    .any(|w| w.src == WireSource::Member(ps[g]) && w.to_parent && w.carries(v))
-            });
-            if !ok {
-                return false;
-            }
-        }
-        // Meeting group: a member wire from the source side must reach the
-        // destination-side member.
-        let ok = self.group(&ps[..meet]).is_some_and(|gt| {
-            gt.wires.iter().any(|w| {
-                w.src == WireSource::Member(ps[meet])
-                    && w.receivers.contains(&pd[meet])
-                    && w.carries(v)
-            })
-        });
-        if !ok {
-            return false;
-        }
-        // Descend: in every group strictly below the meeting group on the
-        // destination side, a parent-sourced wire must hand the value to the
-        // next member down.
-        for g in meet + 1..depth {
-            let group = &pd[..g];
-            let ok = self.group(group).is_some_and(|gt| {
-                gt.wires.iter().any(|w| {
-                    w.src == WireSource::Parent && w.receivers.contains(&pd[g]) && w.carries(v)
-                })
-            });
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -386,16 +332,6 @@ mod tests {
     fn cross_set_path_is_coherent() {
         let (f, t) = cross_set_topology();
         assert!(t.validate(&f).is_ok());
-        let src = f.cn_of_path(&[0, 0, 0]);
-        let dst = f.cn_of_path(&[1, 0, 0]);
-        assert!(t.value_reaches(&f, v(0), src, dst));
-        // A different value does not reach.
-        assert!(!t.value_reaches(&f, v(1), src, dst));
-        // A different destination CN in the same cluster does not receive.
-        let other = f.cn_of_path(&[1, 0, 1]);
-        assert!(!t.value_reaches(&f, v(0), src, other));
-        // Same CN trivially reaches.
-        assert!(t.value_reaches(&f, v(0), src, src));
     }
 
     #[test]
@@ -409,10 +345,6 @@ mod tests {
             values: vec![v(7), v(9)],
         });
         assert!(t.validate(&f).is_ok());
-        let src = f.cn_of_path(&[2, 3, 1]);
-        assert!(t.value_reaches(&f, v(7), src, f.cn_of_path(&[2, 3, 0])));
-        assert!(t.value_reaches(&f, v(9), src, f.cn_of_path(&[2, 3, 2])));
-        assert!(!t.value_reaches(&f, v(7), src, f.cn_of_path(&[2, 3, 3])));
     }
 
     #[test]

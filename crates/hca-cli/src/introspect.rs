@@ -5,7 +5,7 @@
 
 use crate::Options;
 use hca_obs::trace::{self, kind, EXACT_TIER, FALLBACK_TIER};
-use hca_obs::{Obs, SearchTracer, TraceRecord};
+use hca_obs::{Obs, RunMetrics, SearchTracer, TraceRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Value;
@@ -27,8 +27,10 @@ pub(crate) fn cmd_explain(opts: &Options) -> Result<(), String> {
             .into());
     }
     let target = opts.target.as_deref().unwrap_or("");
-    let (title, records) = if target.ends_with(".jsonl") && std::path::Path::new(target).is_file() {
-        (target.to_string(), trace::read_jsonl_file(target)?)
+    let (title, records, run) = if target.ends_with(".jsonl")
+        && std::path::Path::new(target).is_file()
+    {
+        (target.to_string(), trace::read_jsonl_file(target)?, None)
     } else {
         let (name, ddg) = if target == "fuzz" {
             let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -46,15 +48,16 @@ pub(crate) fn cmd_explain(opts: &Options) -> Result<(), String> {
             None => SearchTracer::enabled(),
         };
         let fabric = opts.fabric();
-        hca_core::run_hca_traced(&ddg, &fabric, &opts.hca_config(), &Obs::disabled(), &tracer)
-            .map_err(|e| e.to_string())?;
+        let res =
+            hca_core::run_hca_traced(&ddg, &fabric, &opts.hca_config(), &Obs::enabled(), &tracer)
+                .map_err(|e| e.to_string())?;
         tracer.flush().map_err(|e| e.to_string())?;
         if let Some(path) = &opts.trace_out {
             eprintln!("(raw search trace written to {path})");
         }
-        (name, tracer.records())
+        (name, tracer.records(), res.metrics)
     };
-    print!("{}", explain_report(&title, &records));
+    print!("{}", explain_report(&title, &records, run.as_ref()));
     Ok(())
 }
 
@@ -76,8 +79,14 @@ struct SubReport {
 
 /// Render the full introspection report from a flat record sequence. Pure
 /// so a trace read from disk and one captured in-process explain
-/// identically.
-pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
+/// identically. A live capture also hands in its run counters (`run`), for
+/// the one line a trace does not record: how much speculative ladder work
+/// the portfolio discarded, which depends on timing above one thread.
+pub(crate) fn explain_report(
+    title: &str,
+    records: &[TraceRecord],
+    run: Option<&RunMetrics>,
+) -> String {
     let mut subs: BTreeMap<String, SubReport> = BTreeMap::new();
     // Pruning-reason totals across every step of every SEE run.
     let (mut pr_beam, mut pr_margin, mut pr_branch) = (0u64, 0u64, 0u64);
@@ -214,6 +223,18 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
             };
             let _ = writeln!(out, "  {label:<34} {n}");
         }
+    }
+    // Bounded ladders start every tier at once; a proven exit cancels the
+    // tiers above it, and whatever those tiers had searched is discarded.
+    let counter = |name: &str| run.and_then(|m| m.counter(name));
+    if counter("portfolio.bounds_computed").is_some_and(|n| n > 0) {
+        let _ = writeln!(
+            out,
+            "\nportfolio ladders: {} bound exit(s), {} placement step(s) discarded \
+             by speculative tiers",
+            counter("portfolio.bound_exits").unwrap_or(0),
+            counter("portfolio.discarded_steps").unwrap_or(0)
+        );
     }
 
     // Which constraint bound each solved sub-problem's MII estimate.
@@ -495,7 +516,7 @@ mod tests {
                 ..rec(kind::MII)
             },
         ];
-        let report = explain_report("unit", &records);
+        let report = explain_report("unit", &records, None);
         assert!(report.contains("1 sub-problems"), "{report}");
         assert!(
             report.contains("final MII 4 — bound by recurrence"),

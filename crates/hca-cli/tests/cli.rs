@@ -282,6 +282,34 @@ fn explain_works_on_a_fuzz_seed() {
     assert!(stdout.contains("final MII"), "{stdout}");
 }
 
+/// Under exact-small, explain's portfolio section reports the ladders'
+/// bound exits and the speculative work they discarded; one thread runs a
+/// bounded ladder in tier order and speculates nothing.
+#[test]
+fn explain_reports_discarded_speculation_under_exact_small() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hca"))
+        .args(["explain", "fir2dim", "--solver", "exact-small"])
+        .env("HCA_THREADS", "1")
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("portfolio ladders:"))
+        .unwrap_or_else(|| panic!("no ladder line:\n{stdout}"));
+    assert!(line.contains("bound exit(s)"), "{line}");
+    assert!(line.contains(", 0 placement step(s) discarded"), "{line}");
+    // Beam-only runs compute no bound, so the line does not appear.
+    let (ok, beam, stderr) = hca(&["explain", "fir2dim"]);
+    assert!(ok, "{stderr}");
+    assert!(!beam.contains("portfolio ladders:"), "{beam}");
+}
+
 #[test]
 fn diff_metrics_attributes_deltas_between_two_runs() {
     let dir = std::env::temp_dir().join(format!("hca-cli-diff-{}", std::process::id()));

@@ -20,6 +20,7 @@ use hca_obs::{Obs, RunMetrics, SearchTracer, TraceRecord};
 use hca_see::{mii_lower_bound, solution_score, ExactConfig, See, SeeConfig, SeeError};
 use rustc_hash::FxHashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// How much the driver trusts its own output (paper: "a coherency checker
@@ -417,6 +418,19 @@ impl LadderBook {
     }
 }
 
+/// One escalation tier's run, as the ladder fold receives it.
+struct TierRun {
+    /// The SEE outcome and the Mapper's verdict on it; `Err(Cancelled)`
+    /// when a lower tier proved the bound exit first.
+    run: Result<(hca_see::SeeOutcome, Result<MapperOutput, MapError>), SeeError>,
+    /// Wall-clock nanoseconds of the run (0 when untraced).
+    ns: u64,
+    /// Placement steps the run started.
+    steps: usize,
+    /// The run's `step` records, for the fold to append or drop.
+    trace: SearchTracer,
+}
+
 /// Everything one sub-problem subtree contributes to the final result.
 ///
 /// Each solved sub-problem appends to these sequences locally; a parent
@@ -731,10 +745,11 @@ fn run_hca_once(
 
 /// Solve sub-problem `sp` and its whole subtree: run the SEE escalation
 /// ladder and the Mapper at this level, then recurse into the child
-/// sub-problems. Beam-only ladders run their tiers concurrently and the
-/// children run concurrently — both are independent searches, folded or
-/// merged in a fixed order. Returns the subtree's contribution to the
-/// final result; see [`SubResult`] for the determinism contract.
+/// sub-problems. The ladder's tiers run concurrently (under a bound, a
+/// proven exit cancels the tiers above it) and the children run
+/// concurrently — both are independent searches, folded or merged in a
+/// fixed order. Returns the subtree's contribution to the final result;
+/// see [`SubResult`] for the determinism contract.
 fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, HcaError> {
     let SolveCtx {
         ddg,
@@ -816,8 +831,8 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     // copy-minimising objective) — empirically, distinct sub-problems
     // fall to distinct strategies, so breadth beats depth here.
     // Bound sharing (portfolio modes only): admissible MII floors computed
-    // once, before any search, feed both backends — the beam's
-    // proven-optimal tier skip below and the exact search's pruning cutoff.
+    // once, before any search, feed both backends — the ladder's
+    // proven-optimal exit below and the exact search's pruning cutoff.
     // BeamOnly skips even the computation so the historical mode stays
     // literally untouched.
     let bound: Option<u32> = (config.portfolio.mode != PortfolioMode::BeamOnly).then(|| {
@@ -825,8 +840,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         obs.counter_add("portfolio.bounds_computed", 1);
         lb.overall()
     });
-    let mut base = config.see;
-    base.mii_bound = bound.or(base.mii_bound);
+    let base = config.see;
     let cap = config.issue_cap_slack;
     let tiers: [SeeConfig; 5] = [
         SeeConfig {
@@ -874,21 +888,71 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
         })
     };
+    // Proven-optimal exit: with zero copies at the admissible floor a
+    // result's score `16·MII + copies` sits at its global minimum, and the
+    // fold keeps the *earliest* tier on score ties — so no later tier can
+    // change the outcome, and the floor is also an absolute optimality
+    // proof. Never true without a bound.
+    let proves_exit = |o: &hca_see::SeeOutcome| {
+        bound.is_some_and(|b| o.est_mii <= b && o.assigned.total_copies() == 0)
+    };
+    // The lowest tier whose own mapped result proved the exit so far
+    // (`usize::MAX` until one does); every tier above it is cancelled. It
+    // publishes nothing but its own value (each result reaches the fold
+    // through `par_map`'s return), so `Relaxed` is enough.
+    let exit = AtomicUsize::new(usize::MAX);
     // One tier: SEE on the working set, then the Mapper on its assignment,
-    // timed for the trace. It opens its SEE span on whichever pool thread
-    // runs it, so `see.level*` time is SEE busy time summed over threads.
-    let run_tier = |tier: usize| {
+    // timed for the trace, with its step records kept in a buffer of its
+    // own until the fold takes the tier. It opens its SEE span on whichever
+    // pool thread runs it, so `see.level*` time is SEE busy time summed
+    // over threads. A cancellable run stops once a lower tier proved the
+    // exit: before its SEE starts, at the next placement step, or before
+    // its Mapper runs.
+    let run_tier = |tier: usize, cancellable: bool| {
+        let cancelled = || cancellable && exit.load(Ordering::Relaxed) < tier;
+        if cancelled() {
+            return TierRun {
+                run: Err(SeeError::Cancelled),
+                ns: 0,
+                steps: 0,
+                trace: SearchTracer::disabled(),
+            };
+        }
+        let trace = if trace_on {
+            SearchTracer::enabled().scoped(&sp.id(), d as u32, tier as u32)
+        } else {
+            SearchTracer::disabled()
+        };
         let t0 = trace_on.then(std::time::Instant::now);
         let _see_span = obs.span("see", level_phase(d));
-        let mut see = See::new(ddg, analysis, &pg, constraints, tiers[tier]);
-        if trace_on {
-            see = see.with_tracer(tracer.scoped(&sp.id(), d as u32, tier as u32));
+        let steps = AtomicUsize::new(0);
+        let stop = || {
+            let stop = cancelled();
+            if !stop {
+                steps.fetch_add(1, Ordering::Relaxed);
+            }
+            stop
+        };
+        let run = See::new(ddg, analysis, &pg, constraints, tiers[tier])
+            .with_tracer(trace.clone())
+            .with_stop(&stop)
+            .run(Some(&sp.working_set))
+            .and_then(|outcome| {
+                if cancelled() {
+                    return Err(SeeError::Cancelled);
+                }
+                let mapped = map_level_obs(&outcome.assigned, spec, opts, obs);
+                if mapped.is_ok() && proves_exit(&outcome) {
+                    exit.fetch_min(tier, Ordering::Relaxed);
+                }
+                Ok((outcome, mapped))
+            });
+        TierRun {
+            run,
+            ns: elapsed_ns(t0),
+            steps: steps.load(Ordering::Relaxed),
+            trace,
         }
-        let run = see.run(Some(&sp.working_set)).map(|outcome| {
-            let mapped = map_level_obs(&outcome.assigned, spec, opts, obs);
-            (outcome, mapped)
-        });
-        (run, elapsed_ns(t0))
     };
     let mut winner_tier: u32 = FALLBACK_TIER;
     // What each tier added to `see_states`, for the ladder record; `None`
@@ -905,19 +969,23 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         winner_tier = rec.winner_tier;
         solved = Some(rec.winner);
     }
-    // Without a bound nothing can end the ladder early, so every tier in
-    // `todo` runs: compute them all up front on the pool, widest beam
-    // first so the longest runs start earliest, and hand them to the fold
-    // in tier order. With a bound, tiers run one at a time so a
-    // proven-optimal exit still skips the rest.
-    let mut eager = bound.is_none().then(|| {
-        let mut order = todo.clone();
+    // Every tier in `todo` starts at once on the pool, and the fold below
+    // takes them in tier order. With a bound they are submitted in tier
+    // order: one thread then runs exactly the sequential ladder, and
+    // exit-prone tier 0 starts first. Without one nothing ends the ladder
+    // early, so the widest beams start first and the short tiers fill in
+    // at the end (EXPERIMENTS.md P9, P14).
+    let mut order = todo.clone();
+    if bound.is_none() {
         order.sort_by_key(|&t| std::cmp::Reverse(tiers[t].beam_width * tiers[t].branch_factor));
-        let runs = hca_par::par_map(&order, |&t| run_tier(t));
-        let mut by_tier: Vec<_> = order.into_iter().zip(runs).collect();
-        by_tier.sort_unstable_by_key(|&(t, _)| t);
-        by_tier.into_iter().map(|(_, run)| run)
-    });
+    }
+    let runs = hca_par::par_map(&order, |&t| run_tier(t, true));
+    let mut by_tier: Vec<_> = order.into_iter().zip(runs).collect();
+    by_tier.sort_unstable_by_key(|&(t, _)| t);
+    let mut runs = by_tier.into_iter().map(|(_, run)| run);
+    // Placement steps run by tiers the fold discards (timing-dependent
+    // above one thread, like spans).
+    let mut discarded_steps = 0usize;
     // Fold every tier in tier order and keep the best mapped result —
     // which strategy wins varies per sub-problem.
     // Set when a tier winner provably reached the global score minimum
@@ -925,10 +993,17 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     // nothing left to win.
     let mut bound_exit = false;
     for tier in todo {
-        let (run, ns) = match &mut eager {
-            Some(runs) => runs.next().expect("one run per tier"),
-            None => run_tier(tier),
-        };
+        let mut tier_run = runs.next().expect("one run per tier");
+        // Only an exit proved below a tier cancels it, and with an
+        // admissible bound the fold breaks at the lowest such tier, before
+        // reaching any cancelled one. Should it ever reach one, the tier is
+        // recomputed in place: a cancelled run is never folded.
+        if matches!(tier_run.run, Err(SeeError::Cancelled)) {
+            discarded_steps += tier_run.steps;
+            tier_run = run_tier(tier, false);
+        }
+        tracer.append(&tier_run.trace);
+        let TierRun { run, ns, .. } = tier_run;
         tier_states[tier] = Some(0);
         let (outcome, mapped) = match run {
             Ok(pair) => pair,
@@ -1011,19 +1086,13 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                     winner_tier = tier as u32;
                     solved = Some((outcome, mapped));
                 }
-                // Proven-optimal early exit: with zero copies at the
-                // admissible floor the winner's score `16·MII + copies`
-                // sits at its global minimum, and the tier loop keeps the
-                // *earliest* tier on score ties — so no later tier can
-                // change the outcome. Skipping them is output-preserving,
-                // and the floor is also an absolute optimality proof.
-                if let (Some(b), Some((best, _))) = (bound, &solved) {
-                    if best.est_mii <= b && best.assigned.total_copies() == 0 {
-                        obs.counter_add("portfolio.bound_exits", 1);
-                        obs.counter_add("portfolio.gap_known", 1);
-                        bound_exit = true;
-                        break;
-                    }
+                // Proven-optimal early exit: skipping the later tiers is
+                // output-preserving (see `proves_exit`).
+                if solved.as_ref().is_some_and(|(best, _)| proves_exit(best)) {
+                    obs.counter_add("portfolio.bound_exits", 1);
+                    obs.counter_add("portfolio.gap_known", 1);
+                    bound_exit = true;
+                    break;
                 }
             }
             Err(source) => {
@@ -1046,6 +1115,12 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 });
             }
         }
+    }
+    // Tiers the fold never reached ran speculatively: their results and
+    // step records are dropped here.
+    discarded_steps += runs.map(|r| r.steps).sum::<usize>();
+    if bound.is_some() {
+        obs.counter_add("portfolio.discarded_steps", discarded_steps as u64);
     }
     // Completion backstop: the deterministic chain layout (see
     // `See::chain_fallback`) — legal whenever the consumed wires fit,

@@ -19,11 +19,9 @@
 //!   constraints are pure functions of (fabric, depth, ILI), so with the
 //!   fabric in the key one [`Memo`] may outlive any single run and serve
 //!   requests against *different* machines;
-//! * the full solving context — every result-affecting
+//! * the full solving context — every
 //!   [`SeeConfig`](hca_see::SeeConfig) field (the escalation tiers are pure
-//!   functions of it; the one result-transparent field, `mii_bound`, is
-//!   deliberately exempt — it only reports a proven early exit), the
-//!   issue-cap slack, validation level, the
+//!   functions of it), the issue-cap slack, validation level, the
 //!   [`PortfolioMode`](crate::PortfolioMode) (an exact-small entry must
 //!   never answer a beam-only run; the exact backend's fixed size and node
 //!   caps are covered by [`SNAPSHOT_VERSION`] instead), the

@@ -149,6 +149,18 @@ struct TracerInner {
     writer: Mutex<Option<BufWriter<File>>>,
 }
 
+impl TracerInner {
+    /// Stream `rec` to the writer, if any, and keep it in memory.
+    fn push(&self, rec: TraceRecord) {
+        if let Some(w) = lock_recover(&self.writer).as_mut() {
+            if let Ok(line) = serde_json::to_string(&rec) {
+                let _ = writeln!(w, "{line}");
+            }
+        }
+        lock_recover(&self.records).push(rec);
+    }
+}
+
 /// Recover a tracer guard even when a previous holder panicked. Both
 /// mutexes only guard append-only state (a record vector, a buffered
 /// writer) whose invariants hold at every await point, so a panicking
@@ -227,6 +239,23 @@ impl SearchTracer {
         }
     }
 
+    /// Move every record of `buffer` onto this tracer's stream, in the
+    /// order they were recorded, leaving `buffer` empty. Concurrent
+    /// searches each record into an in-memory tracer of their own
+    /// ([`enabled`](Self::enabled), then [`scoped`](Self::scoped)) and
+    /// their owner appends the buffers in a fixed order, so the stream does
+    /// not depend on which search ran first; dropping a buffer instead
+    /// discards the records of a search whose result was not used.
+    pub fn append(&self, buffer: &SearchTracer) {
+        let (Some(inner), Some(from)) = (&self.inner, &buffer.inner) else {
+            return;
+        };
+        let records = std::mem::take(&mut *lock_recover(&from.records));
+        for rec in records {
+            inner.push(rec);
+        }
+    }
+
     /// Append one record; `f` runs only when the tracer is enabled.
     #[inline]
     pub fn record(&self, f: impl FnOnce() -> TraceRecord) {
@@ -241,12 +270,7 @@ impl SearchTracer {
             rec.depth = scope.depth;
             rec.tier = scope.tier;
         }
-        if let Some(w) = lock_recover(&inner.writer).as_mut() {
-            if let Ok(line) = serde_json::to_string(&rec) {
-                let _ = writeln!(w, "{line}");
-            }
-        }
-        lock_recover(&inner.records).push(rec);
+        inner.push(rec);
     }
 
     /// Snapshot of every record so far, in emission order.
@@ -358,6 +382,47 @@ mod tests {
         assert_eq!(recs[0].tier, 3);
         assert_eq!(recs[0].step, 7);
         assert_eq!(recs[1].problem, "explicit");
+    }
+
+    #[test]
+    fn buffered_records_reach_the_stream_only_when_appended() {
+        let dir = std::env::temp_dir().join("hca_obs_trace_buffer_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("buffered.jsonl");
+        let t = SearchTracer::to_file(&path).unwrap();
+        let step = |i| TraceRecord {
+            kind: kind::STEP.to_string(),
+            step: i,
+            ..TraceRecord::default()
+        };
+        let buffer = |tier| SearchTracer::enabled().scoped("0.1", 1, tier);
+        let (a, b) = (buffer(0), buffer(1));
+        b.record(|| step(0));
+        a.record(|| step(0));
+        a.record(|| step(1));
+        b.record(|| step(1));
+        assert!(t.records().is_empty(), "buffers leaked into the stream");
+        // Appended in the owner's order, each buffer in recording order and
+        // stamped with its scope.
+        t.append(&a);
+        t.append(&b);
+        let recs = t.records();
+        let got: Vec<(u32, u32)> = recs.iter().map(|r| (r.tier, r.step)).collect();
+        assert_eq!(got, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+        assert!(recs.iter().all(|r| r.problem == "0.1" && r.depth == 1));
+        // Appending moves: a second append adds nothing.
+        t.append(&a);
+        assert_eq!(t.records().len(), 4);
+        t.flush().unwrap();
+        assert_eq!(read_jsonl_file(&path).unwrap(), recs);
+        std::fs::remove_file(&path).ok();
+        // Disabled tracers neither give nor take records.
+        let off = SearchTracer::disabled();
+        let c = buffer(2);
+        c.record(|| step(0));
+        off.append(&c);
+        t.append(&off);
+        assert_eq!(t.records().len(), 4);
     }
 
     #[test]

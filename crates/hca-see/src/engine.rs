@@ -29,13 +29,6 @@ pub struct SeeConfig {
     pub max_route_hops: usize,
     /// Optional per-issue-slot load ceiling (see [`SeeContext::issue_cap`]).
     pub issue_cap: Option<u32>,
-    /// Admissible MII floor shared by the portfolio driver
-    /// ([`crate::bounds::mii_lower_bound`]). Purely observational inside
-    /// the beam: when the winning state's MII reaches the floor with zero
-    /// copies the run reports [`SeeStats::bound_exit`], and the *driver*
-    /// skips the remaining escalation tiers (provably output-preserving —
-    /// the score `16·MII + copies` is already at its global minimum).
-    pub mii_bound: Option<u32>,
 }
 
 impl Default for SeeConfig {
@@ -49,7 +42,6 @@ impl Default for SeeConfig {
             enable_router: true,
             max_route_hops: 3,
             issue_cap: None,
-            mii_bound: None,
         }
     }
 }
@@ -83,6 +75,9 @@ pub enum SeeError {
         /// The offending id.
         node: NodeId,
     },
+    /// The stop hook ([`See::with_stop`]) asked the run to end before it
+    /// finished placing the working set.
+    Cancelled,
 }
 
 impl fmt::Display for SeeError {
@@ -92,6 +87,7 @@ impl fmt::Display for SeeError {
                 write!(f, "no candidate cluster for {node} (routing exhausted)")
             }
             SeeError::UnknownNode { node } => write!(f, "{node} not in the DDG"),
+            SeeError::Cancelled => write!(f, "cancelled by the stop hook"),
         }
     }
 }
@@ -213,11 +209,6 @@ pub struct SeeStats {
     /// High-water heap footprint of the state arena (retired `PartialState`
     /// buffers awaiting reuse by survivor materialisation).
     pub state_arena_bytes: usize,
-    /// The winning state's MII matched the shared admissible floor
-    /// ([`SeeConfig::mii_bound`]) with zero copies: the result is provably
-    /// optimal and the portfolio driver may skip every remaining
-    /// escalation tier. Always `false` without a bound (beam-only mode).
-    pub bound_exit: bool,
 }
 
 impl SeeStats {
@@ -263,6 +254,9 @@ pub struct See<'a> {
     pub(crate) rt: RouteTable,
     /// Search-trace recorder; disabled by default (one branch per step).
     tracer: hca_obs::SearchTracer,
+    /// Cancellation hook polled at the top of every placement step; `None`
+    /// by default.
+    stop: Option<&'a (dyn Fn() -> bool + Sync)>,
 }
 
 impl<'a> See<'a> {
@@ -290,6 +284,7 @@ impl<'a> See<'a> {
             config,
             rt,
             tracer: hca_obs::SearchTracer::disabled(),
+            stop: None,
         }
     }
 
@@ -299,6 +294,16 @@ impl<'a> See<'a> {
     /// hot loop at a single branch.
     pub fn with_tracer(mut self, tracer: hca_obs::SearchTracer) -> Self {
         self.tracer = tracer;
+        self
+    }
+
+    /// Attach a stop hook (builder style). [`run`](See::run) calls it at
+    /// the top of every placement step and returns
+    /// [`SeeError::Cancelled`] as soon as it answers `true`, so a run whose
+    /// result can no longer matter stops within one step. Without a hook a
+    /// run always goes to completion.
+    pub fn with_stop(mut self, stop: &'a (dyn Fn() -> bool + Sync)) -> Self {
+        self.stop = Some(stop);
         self
     }
 
@@ -351,6 +356,9 @@ impl<'a> See<'a> {
         let mut parents: Vec<Option<PartialState>> = Vec::new();
 
         for (step_idx, &n) in (0u32..).zip(order.nodes()) {
+            if self.stop.is_some_and(|stop| stop()) {
+                return Err(SeeError::Cancelled);
+            }
             let step_t0 = Instant::now();
             // Pre-step counter snapshot so the trace can report per-step
             // deltas; only taken when a tracer is attached.
@@ -558,13 +566,6 @@ impl<'a> See<'a> {
         let cost = best.cost;
         let est_mii = best.estimated_mii(&self.ctx);
         let (mii_issue, mii_arc) = (best.mii_issue, best.mii_arc);
-        // Proven-bound early exit (bound sharing): MII at the admissible
-        // floor with zero copies means the solution score is at its global
-        // minimum — report the cut so the portfolio driver can skip the
-        // remaining escalation tiers without changing any output.
-        if let Some(bound) = self.config.mii_bound {
-            stats.bound_exit = est_mii <= bound && best.total_copies == 0;
-        }
         Ok(SeeOutcome {
             assigned: best.into_assigned(self.ctx.pg),
             cost,
@@ -1383,5 +1384,62 @@ mod tests {
         let b2 = see.run(None).unwrap();
         assert_eq!(a.cost, b2.cost);
         assert_eq!(a.assigned.assignment, b2.assigned.assignment);
+    }
+
+    #[test]
+    fn stop_hook_cancels_after_exactly_k_steps() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut b = DdgBuilder::default();
+        for i in 0..6 {
+            let x = b.node(Opcode::Load);
+            let y = b.node(if i % 2 == 0 { Opcode::Mul } else { Opcode::Add });
+            b.flow(x, y);
+        }
+        let ddg = b.finish();
+        let an = DdgAnalysis::compute(&ddg).unwrap();
+        let pg = Pg::complete(4, ResourceTable::of_cns(2));
+        let plain = See::new(&ddg, &an, &pg, constraints(4), SeeConfig::default())
+            .run(None)
+            .unwrap();
+        assert_eq!(plain.stats.steps, 12);
+        for k in [0, 1, 5, 11] {
+            let calls = AtomicUsize::new(0);
+            let stop = || calls.fetch_add(1, Ordering::Relaxed) >= k;
+            let tracer = hca_obs::SearchTracer::enabled();
+            let run = See::new(&ddg, &an, &pg, constraints(4), SeeConfig::default())
+                .with_tracer(tracer.clone())
+                .with_stop(&stop)
+                .run(None);
+            assert_eq!(run.unwrap_err(), SeeError::Cancelled, "k = {k}");
+            // One poll per step started, and the (k+1)-th poll fired
+            // before its step ran: exactly k steps were placed.
+            assert_eq!(calls.load(Ordering::Relaxed), k + 1, "k = {k}");
+            let steps = tracer
+                .records()
+                .iter()
+                .filter(|r| r.kind == hca_obs::trace::kind::STEP)
+                .count();
+            assert_eq!(steps, k, "k = {k}");
+        }
+        // A hook that never fires changes nothing.
+        let never = || false;
+        let hooked = See::new(&ddg, &an, &pg, constraints(4), SeeConfig::default())
+            .with_stop(&never)
+            .run(None)
+            .unwrap();
+        assert_eq!(hooked.assigned.assignment, plain.assigned.assignment);
+        assert_eq!(
+            hooked.assigned.total_copies(),
+            plain.assigned.total_copies()
+        );
+        assert_eq!(hooked.cost.to_bits(), plain.cost.to_bits());
+        assert_eq!(
+            (hooked.est_mii, hooked.mii_issue, hooked.mii_arc),
+            (plain.est_mii, plain.mii_issue, plain.mii_arc)
+        );
+        assert_eq!(hooked.stats.steps, plain.stats.steps);
+        assert_eq!(hooked.stats.states_explored, plain.stats.states_explored);
+        assert_eq!(hooked.stats.states_pruned, plain.stats.states_pruned);
+        assert_eq!(hooked.stats.beam_occupancy, plain.stats.beam_occupancy);
     }
 }

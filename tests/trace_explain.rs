@@ -1,7 +1,8 @@
 //! Driver-level contract of the search-trace recorder: `run_hca_traced`
 //! emits a consistent record stream for every Table-1 kernel, the trace
-//! round-trips through the JSONL reader, and attaching a tracer changes
-//! nothing about the run's outcome.
+//! round-trips through the JSONL reader, attaching a tracer changes
+//! nothing about the run's outcome, and no sub-problem's records depend on
+//! the thread count.
 
 use hca_arch::DspFabric;
 use hca_core::{run_hca_obs, run_hca_traced, HcaConfig};
@@ -128,4 +129,55 @@ fn trace_round_trips_through_jsonl() {
     }
     let back = hca_obs::trace::read_jsonl(&text).unwrap();
     assert_eq!(back, records);
+}
+
+/// Each escalation tier records its steps into a buffer of its own and the
+/// ladder fold appends them in tier order, dropping tiers it never reads.
+/// So every sub-problem's record sequence — wall-clock `ns` aside — is the
+/// same on one thread and on four, where tiers overlap (beam-only) or run
+/// speculatively and get cancelled (exact-small). The memo is off: a
+/// concurrent sibling could otherwise turn a miss into a hit.
+#[test]
+fn sub_problem_traces_do_not_depend_on_the_thread_count() {
+    use hca_core::PortfolioConfig;
+    let fabric = DspFabric::standard(8, 8, 8);
+    let beam_only = HcaConfig {
+        memo: false,
+        ..HcaConfig::default()
+    };
+    let exact_small = HcaConfig {
+        portfolio: PortfolioConfig::exact_small(),
+        ..beam_only
+    };
+    let by_problem = |ddg: &hca_ddg::Ddg, config: &HcaConfig, threads: usize| {
+        hca_par::set_thread_override(Some(threads));
+        let tracer = SearchTracer::enabled();
+        let run = run_hca_traced(ddg, &fabric, config, &Obs::disabled(), &tracer);
+        hca_par::set_thread_override(None);
+        run.expect("kernel clusterises");
+        let mut subs: BTreeMap<String, Vec<TraceRecord>> = BTreeMap::new();
+        for mut r in tracer.records() {
+            r.ns = 0;
+            subs.entry(r.problem.clone()).or_default().push(r);
+        }
+        subs
+    };
+    for name in ["fir2dim", "matvec8"] {
+        let ddg = hca_kernels::builtin(name).expect("built-in kernel");
+        for (mode, config) in [("beam-only", &beam_only), ("exact-small", &exact_small)] {
+            let one = by_problem(&ddg, config, 1);
+            let four = by_problem(&ddg, config, 4);
+            assert_eq!(
+                one.keys().collect::<Vec<_>>(),
+                four.keys().collect::<Vec<_>>(),
+                "{name} {mode}: sub-problems differ"
+            );
+            for (problem, recs) in &one {
+                assert_eq!(
+                    recs, &four[problem],
+                    "{name} {mode}: records of sub-problem {problem:?} differ"
+                );
+            }
+        }
+    }
 }
