@@ -8,7 +8,7 @@
 //! cluster assignment really was schedulable at its advertised quality.
 
 use hca_bench::{bench_case, clusterize_obs, dump_bench_json, dump_json, paper_fabric};
-use hca_sched::{modulo_schedule, register_pressure, swing_schedule, KernelSchedule};
+use hca_sched::{modulo_schedule, register_pressure, KernelSchedule};
 use hca_sim::verify_execution;
 use serde::Serialize;
 
@@ -17,8 +17,6 @@ struct Row {
     kernel: &'static str,
     mii_lower_bound: u32,
     achieved_ii: u32,
-    sms_ii: Option<u32>,
-    sms_max_registers: Option<u32>,
     stages: u32,
     utilization: f64,
     max_registers: u32,
@@ -31,17 +29,8 @@ fn main() {
     let fabric = paper_fabric();
     println!("E1 — modulo scheduling + simulated execution (trip count {TRIP})\n");
     println!(
-        "{:<16} {:>7} {:>5} {:>7} {:>7} {:>6} {:>8} {:>9} {:>10} {:>10}",
-        "Loop",
-        "MII-LB",
-        "II",
-        "SMS-II",
-        "stages",
-        "util",
-        "max-regs",
-        "SMS-regs",
-        "verified",
-        "cyc/iter"
+        "{:<16} {:>7} {:>5} {:>7} {:>6} {:>8} {:>10} {:>10}",
+        "Loop", "MII-LB", "II", "stages", "util", "max-regs", "verified", "cyc/iter"
     );
     let mut rows = Vec::new();
     let mut bench = Vec::new();
@@ -52,13 +41,9 @@ fn main() {
                 let _span = obs.span("sched", "iterative");
                 modulo_schedule(&res.final_program, &fabric, res.mii.final_mii)
             };
-            let sms = {
-                let _span = obs.span("sched", "sms");
-                swing_schedule(&res.final_program, &fabric, res.mii.final_mii).ok()
-            };
-            Some((res, sched, sms))
+            Some((res, sched))
         });
-        let Some((res, sched, sms)) = outcome else {
+        let Some((res, sched)) = outcome else {
             println!("{:<16} clusterisation failed", kernel.name);
             continue;
         };
@@ -71,21 +56,12 @@ fn main() {
         };
         let folded = KernelSchedule::fold(&res.final_program, &fabric, &sched);
         let pressure = register_pressure(&res.final_program, &fabric, &sched);
-        // `sms` is the register-pressure-aware alternative, for comparison.
-        let sms_regs = sms.as_ref().map(|s| {
-            register_pressure(&res.final_program, &fabric, s)
-                .into_iter()
-                .max()
-                .unwrap_or(0)
-        });
         match verify_execution(&kernel.ddg, &res.final_program, &fabric, &folded, TRIP) {
             Ok(rep) => {
                 let row = Row {
                     kernel: kernel.name,
                     mii_lower_bound: res.mii.final_mii,
                     achieved_ii: sched.ii,
-                    sms_ii: sms.as_ref().map(|s| s.ii),
-                    sms_max_registers: sms_regs,
                     stages: sched.stages,
                     utilization: folded.utilization(),
                     max_registers: pressure.iter().copied().max().unwrap_or(0),
@@ -93,15 +69,13 @@ fn main() {
                     cycles_per_iteration: rep.cycles as f64 / rep.trip as f64,
                 };
                 println!(
-                    "{:<16} {:>7} {:>5} {:>7} {:>7} {:>6.2} {:>8} {:>9} {:>10} {:>10.1}",
+                    "{:<16} {:>7} {:>5} {:>7} {:>6.2} {:>8} {:>10} {:>10.1}",
                     row.kernel,
                     row.mii_lower_bound,
                     row.achieved_ii,
-                    row.sms_ii.map_or("—".into(), |v| v.to_string()),
                     row.stages,
                     row.utilization,
                     row.max_registers,
-                    row.sms_max_registers.map_or("—".into(), |v| v.to_string()),
                     row.iterations_verified,
                     row.cycles_per_iteration,
                 );

@@ -81,10 +81,6 @@ pub struct GauntletConfig {
     pub quality_slack: u32,
     /// Worker count of the N-thread determinism run.
     pub threads: usize,
-    /// Run with the cross-sub-problem memo cache enabled
-    /// ([`HcaConfig::memo`]). The cache is argued result-transparent; a
-    /// gauntlet sweep with it on is the fuzz-side referee of that claim.
-    pub memo: bool,
     /// Sub-problem solver of every HCA run ([`HcaConfig::portfolio`]);
     /// beam-only by default.
     pub solver: PortfolioMode,
@@ -97,7 +93,6 @@ impl Default for GauntletConfig {
             quality_factor: 3,
             quality_slack: 8,
             threads: 4,
-            memo: true,
             solver: PortfolioMode::BeamOnly,
         }
     }
@@ -148,7 +143,6 @@ pub fn gauntlet(
 ) -> Result<GauntletReport, GauntletFailure> {
     let fail = |kind, detail: String| Err(GauntletFailure { kind, detail });
     let hca_cfg = HcaConfig {
-        memo: cfg.memo,
         portfolio: PortfolioConfig { mode: cfg.solver },
         ..HcaConfig::strict()
     };
@@ -240,8 +234,7 @@ pub fn gauntlet(
         return fail(CheckKind::Journal, e);
     }
 
-    // 6. Thread-count determinism. With the memo on this also pins that
-    //    cache hits, whose order varies with scheduling, stay invisible.
+    // 6. Thread-count determinism.
     hca_par::set_thread_override(Some(cfg.threads.max(2)));
     let par = run_hca(ddg, fabric, &hca_cfg);
     hca_par::set_thread_override(None);

@@ -5,8 +5,8 @@
 //!   portfolio output is **bit-identical** to the beam-alone output —
 //!   placements, MII report, topology wires and materialised primitives;
 //! * both runs pass `ValidationLevel::Strict`;
-//! * the exact-small run is reproducible: re-run with the memo cache off on
-//!   a single worker, it yields the same bits.
+//! * the exact-small run is reproducible: re-run on a single worker, it
+//!   yields the same bits.
 //!
 //! The non-ignored smoke covers a few dozen seeds on every `cargo test`;
 //! the full 300-seed sweep (the number the acceptance criteria name) runs
@@ -43,43 +43,38 @@ fn sweep(count: u64, base_seed: u64, max_nodes: usize) {
 
         assert!(port.is_legal(), "seed {seed}: illegal portfolio result");
 
-        // The memo cache and the worker count may change how fast the
-        // exact-small answer comes, never which answer.
-        let uncached = {
+        // The worker count may change how fast the exact-small answer
+        // comes, never which answer.
+        let one_thread = {
             let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             hca_par::set_thread_override(Some(1));
-            let run = run_hca_obs(
-                &ddg,
-                &fabric,
-                &HcaConfig { memo: false, ..cfg },
-                &Obs::disabled(),
-            );
+            let run = run_hca_obs(&ddg, &fabric, &cfg, &Obs::disabled());
             hca_par::set_thread_override(None);
-            run.unwrap_or_else(|e| panic!("seed {seed}: uncached portfolio run failed: {e}"))
+            run.unwrap_or_else(|e| panic!("seed {seed}: one-thread portfolio run failed: {e}"))
         };
         assert_eq!(
-            uncached.placement, port.placement,
-            "seed {seed}: exact-small placements diverge without memo on 1 thread"
+            one_thread.placement, port.placement,
+            "seed {seed}: exact-small placements diverge on 1 thread"
         );
         assert_eq!(
-            uncached.mii, port.mii,
-            "seed {seed}: exact-small MII reports diverge without memo on 1 thread"
+            one_thread.mii, port.mii,
+            "seed {seed}: exact-small MII reports diverge on 1 thread"
         );
         assert_eq!(
-            uncached.stats, port.stats,
-            "seed {seed}: exact-small stats diverge without memo on 1 thread"
+            one_thread.stats, port.stats,
+            "seed {seed}: exact-small stats diverge on 1 thread"
         );
         assert_eq!(
-            uncached.final_program.placement, port.final_program.placement,
-            "seed {seed}: exact-small final-program placements diverge without memo on 1 thread"
+            one_thread.final_program.placement, port.final_program.placement,
+            "seed {seed}: exact-small final-program placements diverge on 1 thread"
         );
         assert_eq!(
-            uncached.final_program.recv_nodes, port.final_program.recv_nodes,
-            "seed {seed}: exact-small recv primitives diverge without memo on 1 thread"
+            one_thread.final_program.recv_nodes, port.final_program.recv_nodes,
+            "seed {seed}: exact-small recv primitives diverge on 1 thread"
         );
         assert_eq!(
-            uncached.final_program.route_nodes, port.final_program.route_nodes,
-            "seed {seed}: exact-small route primitives diverge without memo on 1 thread"
+            one_thread.final_program.route_nodes, port.final_program.route_nodes,
+            "seed {seed}: exact-small route primitives diverge on 1 thread"
         );
         assert!(
             port.mii.final_mii <= beam.mii.final_mii,

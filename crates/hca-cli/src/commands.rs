@@ -4,8 +4,7 @@ use crate::Options;
 use hca_core::Table1Row;
 use hca_ddg::{analysis, dot, DdgAnalysis};
 use hca_sched::{
-    allocate_rotating, derive_dma_program, modulo_schedule, swing_schedule, KernelSchedule,
-    StreamDir,
+    allocate_rotating, derive_dma_program, modulo_schedule, KernelSchedule, StreamDir,
 };
 use hca_sim::verify_execution;
 
@@ -130,26 +129,21 @@ pub(crate) fn cmd_schedule(opts: &Options) -> Result<(), String> {
     let res = opts.run_with(&ddg, &obs)?;
     let sched = {
         let _span = obs
-            .span("sched", if opts.sms { "sms" } else { "iterative" })
+            .span("sched", "iterative")
             .with_arg("mii", u64::from(res.mii.final_mii));
-        if opts.sms {
-            swing_schedule(&res.final_program, &fabric, res.mii.final_mii)
-        } else {
-            modulo_schedule(&res.final_program, &fabric, res.mii.final_mii)
-        }
-        .map_err(|e| e.to_string())?
+        modulo_schedule(&res.final_program, &fabric, res.mii.final_mii)
+            .map_err(|e| e.to_string())?
     };
     opts.finish_obs(&obs)?;
     let folded = KernelSchedule::fold(&res.final_program, &fabric, &sched);
     let regs = allocate_rotating(&res.final_program, &fabric, &sched);
     let dma = derive_dma_program(&res.final_program, &fabric, &sched);
     println!(
-        "{name}: II {} (lower bound {}), {} stages, {:.0}% utilisation [{}]",
+        "{name}: II {} (lower bound {}), {} stages, {:.0}% utilisation [iterative]",
         sched.ii,
         res.mii.final_mii,
         sched.stages,
         folded.utilization() * 100.0,
-        if opts.sms { "SMS" } else { "iterative" },
     );
     println!(
         "rotating registers: worst CN uses {} (fits 64-entry file: {})",
@@ -188,14 +182,10 @@ pub(crate) fn cmd_simulate(opts: &Options) -> Result<(), String> {
     let res = opts.run_with(&ddg, &obs)?;
     let sched = {
         let _span = obs
-            .span("sched", if opts.sms { "sms" } else { "iterative" })
+            .span("sched", "iterative")
             .with_arg("mii", u64::from(res.mii.final_mii));
-        if opts.sms {
-            swing_schedule(&res.final_program, &fabric, res.mii.final_mii)
-        } else {
-            modulo_schedule(&res.final_program, &fabric, res.mii.final_mii)
-        }
-        .map_err(|e| e.to_string())?
+        modulo_schedule(&res.final_program, &fabric, res.mii.final_mii)
+            .map_err(|e| e.to_string())?
     };
     opts.finish_obs(&obs)?;
     let folded = KernelSchedule::fold(&res.final_program, &fabric, &sched);
@@ -297,7 +287,6 @@ pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), String> {
         max_nodes: opts.max_nodes,
         out_dir: opts.out.as_deref().map(std::path::PathBuf::from),
         gauntlet: GauntletConfig {
-            memo: opts.memo,
             solver: opts.solver,
             ..GauntletConfig::default()
         },

@@ -68,7 +68,6 @@ struct SubReport {
     ws: u32,
     ili_in: u32,
     ili_out: u32,
-    memo: Option<bool>,
     /// `(tier, ok, est_mii, why)` in attempt order.
     tiers: Vec<(u32, bool, u32, String)>,
     solved: Option<TraceRecord>,
@@ -100,7 +99,6 @@ pub(crate) fn explain_report(
                 (s.depth, s.ws, s.ili_in, s.ili_out) = (r.depth, r.ws, r.ili_in, r.ili_out);
                 depth_stats.entry(r.depth).or_default().0 += 1;
             }
-            kind::MEMO => subs.entry(r.problem.clone()).or_default().memo = Some(r.ok),
             kind::STEP => {
                 let s = subs.entry(r.problem.clone()).or_default();
                 s.steps += 1;
@@ -124,6 +122,7 @@ pub(crate) fn explain_report(
                 subs.entry(r.problem.clone()).or_default().solved = Some(r.clone());
             }
             kind::MII => mii_rec = Some(r),
+            // Kinds this reader does not know, e.g. an older trace's `memo`.
             _ => {}
         }
     }
@@ -171,23 +170,9 @@ pub(crate) fn explain_report(
         let _ = writeln!(out, "  route-rescue steps {rescued_steps:>10}");
     }
 
-    let (memo_hits, memo_lookups) = subs.values().fold((0u64, 0u64), |(h, n), s| match s.memo {
-        Some(true) => (h + 1, n + 1),
-        Some(false) => (h, n + 1),
-        None => (h, n),
-    });
-    let _ = writeln!(out, "\ncache efficiency:");
-    if memo_lookups > 0 {
-        let _ = writeln!(
-            out,
-            "  memo:        {memo_hits} hits / {memo_lookups} lookups ({:.1}%)",
-            memo_hits as f64 * 100.0 / memo_lookups as f64
-        );
-    } else {
-        let _ = writeln!(out, "  memo:        no lookups recorded");
-    }
     let route_queries = route_bfs + route_hits;
     if route_queries > 0 {
+        let _ = writeln!(out, "\ncache efficiency:");
         let _ = writeln!(
             out,
             "  route table: {route_hits} static answers / {route_queries} queries ({:.1}%)",
@@ -257,10 +242,6 @@ pub(crate) fn explain_report(
     let shown = by_time.len().min(12);
     let _ = writeln!(out, "\nheaviest sub-problems ({shown} of {}):", subs.len());
     for (id, s) in by_time.iter().take(shown) {
-        let memo = match s.memo {
-            Some(true) => "  memo hit",
-            _ => "",
-        };
         let outcome = match &s.solved {
             Some(r) => {
                 let tier = if r.tier == FALLBACK_TIER {
@@ -272,7 +253,6 @@ pub(crate) fn explain_report(
                 };
                 format!("{tier}  est MII {} ({})", r.est_mii, r.why)
             }
-            None if s.memo == Some(true) => "(rehydrated)".to_string(),
             None => "(unsolved)".to_string(),
         };
         let failed = s.tiers.iter().filter(|t| !t.1).count();
@@ -283,7 +263,7 @@ pub(crate) fn explain_report(
         };
         let _ = writeln!(
             out,
-            "  {:<12} d{} ws {:<3} {outcome}  {} steps  {:.3} ms{memo}{tier_note}",
+            "  {:<12} d{} ws {:<3} {outcome}  {} steps  {:.3} ms{tier_note}",
             if id.is_empty() { "(root)" } else { id.as_str() },
             s.depth,
             s.ws,
@@ -476,11 +456,12 @@ mod tests {
                 ws: 5,
                 ..rec(kind::SUB)
             },
+            // A record kind older traces carry; the report skips it.
             TraceRecord {
                 problem: "0".into(),
-                ok: false,
-                why: "miss".into(),
-                ..rec(kind::MEMO)
+                ok: true,
+                why: "hit".into(),
+                ..rec("memo")
             },
             TraceRecord {
                 problem: "0".into(),
@@ -522,7 +503,7 @@ mod tests {
             report.contains("final MII 4 — bound by recurrence"),
             "{report}"
         );
-        assert!(report.contains("0 hits / 1 lookups"), "{report}");
+        assert!(!report.contains("memo"), "{report}");
         assert!(
             report.contains("9 static answers / 10 queries (90.0%)"),
             "{report}"

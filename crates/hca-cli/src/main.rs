@@ -13,7 +13,6 @@
 //!
 //! options: --machine N,M,K   MUX capacities        (default 8,8,8)
 //!          --portfolio       best-of-portfolio search
-//!          --sms             Swing instead of iterative scheduling
 //!          --trip T          simulated iterations   (default 16)
 //!          --unroll F        unroll the loop body F times first
 //! ```
@@ -148,7 +147,6 @@ options:
                      (exact backend on small sub-problems, cut by a fixed
                      node budget); both are deterministic, and exact-small
                      is never worse than beam-only on MII
-  --sms              use Swing Modulo Scheduling instead of iterative
   --trip T           iterations to simulate (default 16)
   --unroll F         unroll the loop body F times before everything else
   --trace            (simulate) print the first kernel passes' issue table
@@ -160,8 +158,6 @@ fuzz options:
   --max-nodes N      largest generated kernel   (default 24)
   --out DIR          shrunk-reproducer directory (default fuzz-failures;
                      `--out -` disables writing)
-  --no-memo          disable the cross-sub-problem memo cache for the
-                     gauntlet runs (the cache is on by default)
 
 serve options:
   --bind ADDR        TCP listen address (default 127.0.0.1:7878; :0 picks
@@ -194,7 +190,6 @@ pub(crate) struct Options {
     pub machine_spec: Option<String>,
     pub portfolio: bool,
     pub solver: PortfolioMode,
-    pub sms: bool,
     pub trip: u64,
     pub unroll: u32,
     pub trace: bool,
@@ -208,7 +203,6 @@ pub(crate) struct Options {
     pub seed: u64,
     pub max_nodes: usize,
     pub out: Option<String>,
-    pub memo: bool,
     pub bind: Option<String>,
     pub socket: Option<String>,
     pub snapshot: Option<String>,
@@ -224,7 +218,6 @@ impl Options {
             machine_spec: None,
             portfolio: false,
             solver: PortfolioMode::BeamOnly,
-            sms: false,
             trip: 16,
             unroll: 1,
             trace: false,
@@ -238,7 +231,6 @@ impl Options {
             seed: 1,
             max_nodes: 24,
             out: Some("fuzz-failures".into()),
-            memo: true,
             bind: None,
             socket: None,
             snapshot: None,
@@ -289,7 +281,6 @@ impl Options {
                         }
                     };
                 }
-                "--sms" => o.sms = true,
                 "--trace" => o.trace = true,
                 "--metrics-out" => {
                     let v = it.next().ok_or("--metrics-out needs a path")?;
@@ -328,7 +319,6 @@ impl Options {
                     let v = it.next().ok_or("--out needs a directory (or `-`)")?;
                     o.out = (v != "-").then(|| v.clone());
                 }
-                "--no-memo" => o.memo = false,
                 "--bind" => {
                     let v = it.next().ok_or("--bind needs an ip:port address")?;
                     o.bind = Some(v.clone());
@@ -399,14 +389,9 @@ impl Options {
     }
 
     /// Build the observer requested by `--metrics-out` / `--trace-out` / `-v`.
-    /// Disabled when none of the flags are present. Also installed as the
-    /// process-wide observer so scheduler diagnostics reach the same sinks.
+    /// Disabled when none of the flags are present.
     pub fn obs(&self) -> Result<Obs, String> {
-        let obs = self.build_obs(self.trace_out.as_deref())?;
-        if obs.is_enabled() {
-            hca_obs::set_global(obs.clone());
-        }
-        Ok(obs)
+        self.build_obs(self.trace_out.as_deref())
     }
 
     /// Per-kernel observer for `table1`: fresh metrics per kernel, with the

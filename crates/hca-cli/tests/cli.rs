@@ -115,6 +115,20 @@ fn bad_inputs_fail_gracefully() {
     let (ok5, _, stderr5) = hca(&["explain", "dot_product", "--portfolio"]);
     assert!(!ok5);
     assert!(stderr5.contains("--portfolio"), "{stderr5}");
+    // Retired options are refused by name, not ignored.
+    for args in [
+        &["schedule", "lms", "--sms"][..],
+        &["clusterize", "fir2dim", "--no-memo"],
+        &["fuzz", "--no-memo"],
+    ] {
+        let (ok, _, stderr) = hca(args);
+        let option = args[args.len() - 1];
+        assert!(!ok, "{args:?} succeeded");
+        assert!(
+            stderr.contains(&format!("unknown option `{option}`")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -227,7 +241,6 @@ fn explain_reports_mii_attribution_for_a_table1_kernel() {
     assert!(stdout.contains("bound by"), "{stdout}");
     assert!(stdout.contains("sub-problems"), "{stdout}");
     assert!(stdout.contains("pruning reasons"), "{stdout}");
-    assert!(stdout.contains("memo:"), "{stdout}");
 }
 
 #[test]
@@ -246,8 +259,9 @@ fn explain_replays_identically_from_a_recorded_trace() {
 }
 
 /// Traces recorded before the frontier dedup and dominance counters were
-/// dropped carry `deduped`/`dominated` on their step lines: they must still
-/// replay, with the retired fields ignored.
+/// dropped carry `deduped`/`dominated` on their step lines, and traces
+/// recorded while direct runs kept a memo cache carry `memo` records: they
+/// must still replay, with the retired fields and records ignored.
 #[test]
 fn explain_replays_a_trace_with_retired_dedup_and_dominance_fields() {
     let dir = std::env::temp_dir().join(format!("hca-cli-legacy-{}", std::process::id()));
@@ -255,6 +269,7 @@ fn explain_replays_a_trace_with_retired_dedup_and_dominance_fields() {
     let trace = dir.join("legacy.jsonl");
     let lines = [
         r#"{"kind":"sub","problem":"0","ws":5}"#,
+        r#"{"kind":"memo","problem":"0","ok":false,"why":"miss"}"#,
         concat!(
             r#"{"kind":"step","problem":"0","step":0,"node":3,"beam":4,"explored":10,"#,
             r#""pruned_beam":4,"rej_margin":2,"rej_branch":1,"deduped":2,"dominated":1,"#,
@@ -269,7 +284,7 @@ fn explain_replays_a_trace_with_retired_dedup_and_dominance_fields() {
         "{stdout}"
     );
     assert!(
-        !stdout.contains("dedup") && !stdout.contains("dominance"),
+        !stdout.contains("dedup") && !stdout.contains("dominance") && !stdout.contains("memo"),
         "{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -113,18 +113,6 @@ pub struct HcaConfig {
     pub issue_cap_slack: Option<u32>,
     /// Post-pass validation policy (see [`ValidationLevel`]).
     pub validation: ValidationLevel,
-    /// Memoise solved sub-problems under a renumbering-equivariant
-    /// canonical key and reuse them for isomorphic sub-problems within the
-    /// run. Cached results are bit-exact replays; disable to compare.
-    pub memo: bool,
-    /// Byte budget of the run-private memo cache (when [`memo`] is on and
-    /// no shared cache is supplied). Least-recently-used entries are
-    /// evicted past the budget; eviction can only turn hits into misses,
-    /// never change results. `0` caches nothing. Shared caches
-    /// ([`run_hca_shared`]) carry their own budget and ignore this knob.
-    ///
-    /// [`memo`]: HcaConfig::memo
-    pub memo_budget: usize,
     /// Exact/beam portfolio policy (see [`PortfolioConfig`]). The default
     /// [`PortfolioMode::BeamOnly`] leaves the driver bit-identical to its
     /// pre-portfolio behaviour.
@@ -137,8 +125,6 @@ impl Default for HcaConfig {
             see: SeeConfig::default(),
             issue_cap_slack: Some(1),
             validation: ValidationLevel::Report,
-            memo: true,
-            memo_budget: crate::memo::Memo::DEFAULT_BUDGET,
             portfolio: PortfolioConfig::default(),
         }
     }
@@ -367,12 +353,9 @@ struct SolveCtx<'a> {
     /// Topological position per DDG node (the memo cache is DDG-independent,
     /// so the run supplies this table to the key canonicaliser).
     topo_pos: &'a [usize],
-    /// Sub-problem cache ([`HcaConfig::memo`]); `None` when disabled.
+    /// The shared sub-problem cache ([`run_hca_shared`]); `None` on every
+    /// other run.
     memo: Option<&'a crate::memo::Memo>,
-    /// Whether `memo` was handed in ([`run_hca_shared`]): such a cache
-    /// outlives the run and admits an entry only on second sight
-    /// ([`crate::memo::Memo::offer`]); a run-owned cache admits at once.
-    memo_handed_in: bool,
     /// Search-trace recorder ([`run_hca_traced`]); disabled elsewhere.
     tracer: &'a SearchTracer,
     /// Beam-ladder decisions shared between an exact-small run, which
@@ -475,7 +458,7 @@ pub fn run_hca_obs(
 }
 
 /// [`run_hca_obs`] with a search-trace recorder: every sub-problem emits
-/// `sub` / `memo` / `tier` / `solved` records and every SEE run streams
+/// `sub` / `tier` / `solved` records and every SEE run streams
 /// per-step `step` records through the tracer (see
 /// [`hca_obs::trace`] for the schema). One run-level `mii` record closes
 /// the trace. With a disabled tracer this is exactly [`run_hca_obs`] —
@@ -495,9 +478,8 @@ pub fn run_hca_traced(
 /// ever handles. The memo key encodes the fabric and the full solving
 /// context, so one cache is sound across different kernels, machines and
 /// configurations — a hit happens exactly when a fresh solve would
-/// reproduce the cached bits. The shared cache is used regardless of
-/// [`HcaConfig::memo`] (passing it *is* the opt-in) and carries its own
-/// byte budget.
+/// reproduce the cached bits. The cache carries its own byte budget; every
+/// other entry point runs without one.
 ///
 /// A handed-in cache admits a solved sub-problem only on *second sight*
 /// (see [`crate::memo::Memo::deferred`]): the first solve of a key records
@@ -524,8 +506,7 @@ pub fn run_hca_shared(
 }
 
 /// [`run_hca_obs`] with an optional externally owned sub-problem cache
-/// ([`run_hca_shared`]). With `None` (and [`HcaConfig::memo`] on) the run
-/// owns a private cache that admits at once.
+/// ([`run_hca_shared`]). With `None` every sub-problem is solved.
 ///
 /// When the exact backend displaced the beam result in at least one
 /// sub-problem, the *global* never-worse-than-beam guarantee does not
@@ -544,20 +525,12 @@ fn run_hca_inner(
     fabric: &DspFabric,
     config: &HcaConfig,
     obs: &Obs,
-    shared_memo: Option<&crate::memo::Memo>,
+    memo: Option<&crate::memo::Memo>,
     tracer: &SearchTracer,
 ) -> Result<HcaResult, HcaError> {
     let ladders = (config.portfolio.mode != PortfolioMode::BeamOnly).then(LadderBook::default);
     let once = |config: &HcaConfig, tracer: &SearchTracer| {
-        run_hca_once(
-            ddg,
-            fabric,
-            config,
-            obs,
-            shared_memo,
-            tracer,
-            ladders.as_ref(),
-        )
+        run_hca_once(ddg, fabric, config, obs, memo, tracer, ladders.as_ref())
     };
     let res = once(config, tracer)?;
     if config.portfolio.mode == PortfolioMode::BeamOnly || res.stats.exact_wins == 0 {
@@ -588,7 +561,7 @@ fn run_hca_once(
     fabric: &DspFabric,
     config: &HcaConfig,
     obs: &Obs,
-    shared_memo: Option<&crate::memo::Memo>,
+    memo: Option<&crate::memo::Memo>,
     tracer: &SearchTracer,
     ladders: Option<&LadderBook>,
 ) -> Result<HcaResult, HcaError> {
@@ -597,17 +570,6 @@ fn run_hca_once(
     let theo_mii = crate::mii::theoretical_mii(analysis.mii_rec, ddg, fabric);
     drop(analysis_span);
 
-    let own_memo;
-    let memo: Option<&crate::memo::Memo> = match shared_memo {
-        // An explicit shared cache is the opt-in, whatever `config.memo`
-        // says — its owner decided the budget and lifetime.
-        Some(m) => Some(m),
-        None if config.memo => {
-            own_memo = Some(crate::memo::Memo::new(config.memo_budget));
-            own_memo.as_ref()
-        }
-        None => None,
-    };
     // Topological position per node, for the memo key's relative-order
     // encoding (the cache itself is DDG-independent).
     let mut topo_pos = vec![usize::MAX; ddg.num_nodes()];
@@ -623,7 +585,6 @@ fn run_hca_once(
         theo_mii,
         topo_pos: &topo_pos,
         memo,
-        memo_handed_in: shared_memo.is_some(),
         tracer,
         ladders,
     };
@@ -707,7 +668,7 @@ fn run_hca_once(
 
     if obs.is_enabled() {
         if let Some(m) = memo {
-            // High-water marks, not sums: a shared (daemon) cache reports
+            // High-water marks, not sums: the shared (daemon) cache reports
             // its largest observed footprint, and evictions are a lifetime
             // count over the cache, not this run.
             obs.counter_max("driver.memo_bytes", m.approx_bytes() as u64);
@@ -760,7 +721,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         theo_mii,
         topo_pos,
         memo,
-        memo_handed_in,
         tracer,
         ladders,
     } = *cx;
@@ -776,28 +736,16 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             ..TraceRecord::default()
         });
     }
-    // Memoisation: answer isomorphic sub-problems from the cache. The key
-    // encodes the full solving context (see `memo` module docs), so a hit
-    // rehydrates to exactly what the solve below would have produced.
+    // Memoisation: answer isomorphic sub-problems from the shared cache.
+    // The key encodes the full solving context (see `memo` module docs), so
+    // a hit rehydrates to exactly what the solve below would have produced.
     let memo_ctx = memo.map(|m| {
         let (key, canon2raw) =
             crate::memo::canonicalise(topo_pos, ddg, analysis, config, theo_mii, fabric, sp);
         (m, key, canon2raw)
     });
     if let Some((m, key, canon2raw)) = &memo_ctx {
-        let hit = m.lookup(key);
-        if trace_on {
-            let was_hit = hit.is_some();
-            tracer.record(|| TraceRecord {
-                kind: kind::MEMO.to_string(),
-                problem: sp.id(),
-                depth: sp.depth() as u32,
-                ok: was_hit,
-                why: if was_hit { "hit" } else { "miss" }.to_string(),
-                ..TraceRecord::default()
-            });
-        }
-        if let Some(hit) = hit {
+        if let Some(hit) = m.lookup(key) {
             obs.counter_add("driver.memo_hits", 1);
             return Ok(crate::memo::rehydrate(&hit, canon2raw, &sp.path, fabric));
         }
@@ -1461,8 +1409,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         // Defensive: anything outside the canonical universe (which would
         // make rehydration unsound) skips the cache instead of poisoning it.
         match crate::memo::capture(&res, &canon2raw, &sp.path, fabric) {
-            Some(canon) if memo_handed_in => m.offer(key, canon),
-            Some(canon) => m.insert(key, canon),
+            Some(canon) => m.offer(key, canon),
             None => obs.counter_add("driver.memo_uncachable", 1),
         }
     }
@@ -1481,9 +1428,7 @@ pub fn run_hca_portfolio(ddg: &Ddg, fabric: &DspFabric) -> Result<HcaResult, Hca
 /// [`run_hca_portfolio`] with observability. All variants share the
 /// observer (counters accumulate across the portfolio, spans are labelled
 /// with the variant index); the winner's [`HcaResult::metrics`] snapshot is
-/// taken at the end so it covers the whole portfolio run. Each variant's
-/// run owns its memo cache: every variant differs from the default in a
-/// keyed search setting, so no cached sub-problem could answer another.
+/// taken at the end so it covers the whole portfolio run.
 pub fn run_hca_portfolio_obs(
     ddg: &Ddg,
     fabric: &DspFabric,

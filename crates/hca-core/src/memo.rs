@@ -72,9 +72,11 @@
 //! identical result — so the budget bounds memory without affecting output
 //! (pinned by `tests/memo_equivalence.rs`).
 //!
-//! A cache that outlives the run inserting into it — one handed to
-//! [`run_hca_shared`](crate::run_hca_shared), as `hca serve` does — admits
-//! an entry only on *second sight* ([`Memo::offer`]): the first solve of a
+//! The driver reads a cache only when one is handed to
+//! [`run_hca_shared`](crate::run_hca_shared), as `hca serve` does; every
+//! other entry point solves each sub-problem. Such a cache outlives the run
+//! inserting into it, so it admits an entry only on *second sight*
+//! ([`Memo::offer`]): the first solve of a
 //! key records the key's 64-bit hash in a doorkeeper, a direct-mapped table
 //! of [`DOORKEEPER_SLOTS`] atomic hashes allocated on first use, and drops
 //! the entry (counted in [`Memo::deferred`]); a later solve whose hash is
@@ -83,9 +85,8 @@
 //! nobody reads, while anything that recurs is cached from its second
 //! solve on. A hash collision (or a slot another key overwrote) can only
 //! admit or defer an entry early or late — lookups still compare the full
-//! key, so no output bit depends on the doorkeeper. A run-owned cache
-//! ([`HcaConfig::memo`]) dies with its run and admits at once
-//! ([`Memo::insert`]), and so does [`Memo::load`].
+//! key, so no output bit depends on the doorkeeper. [`Memo::load`] admits
+//! a snapshot's entries at once ([`Memo::insert`]).
 //!
 //! [`Memo::save`] / [`Memo::load`] persist the canonical entry table as a
 //! versioned JSON snapshot ([`SNAPSHOT_VERSION`]): `hca serve` snapshots on
@@ -261,18 +262,18 @@ impl Shard {
 }
 
 /// The shared sub-problem cache: sharded, byte-budgeted, LRU-evicting,
-/// poison-recovering, and snapshot-persistent. One `Memo` may be scoped to
-/// a single run, or owned by a long-running `hca serve` daemon and shared
-/// across every request it ever handles — the canonical key encodes the
-/// fabric and the full solving context, so cross-request reuse happens
-/// exactly when a fresh solve would reproduce the cached bits.
+/// poison-recovering, and snapshot-persistent. A long-running `hca serve`
+/// daemon owns one and shares it across every request it ever handles —
+/// the canonical key encodes the fabric and the full solving context, so
+/// cross-request reuse happens exactly when a fresh solve would reproduce
+/// the cached bits.
 pub struct Memo {
     shards: Vec<Mutex<Shard>>,
     /// Total byte budget across all shards (0 = cache nothing).
     budget: usize,
     /// Hashes of keys [`Memo::offer`]ed once, direct-mapped; allocated by
-    /// the first offer, so a run-owned cache never pays for it. A fixed
-    /// 512 KiB outside the byte budget and [`Memo::approx_bytes`].
+    /// the first offer. A fixed 512 KiB outside the byte budget and
+    /// [`Memo::approx_bytes`].
     doorkeeper: OnceLock<Box<[AtomicU64]>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -290,9 +291,8 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Memo {
-    /// Default byte budget (64 MiB): generous for single runs, bounded for
-    /// daemons. Override per run via `HcaConfig::memo_budget` or per daemon
-    /// via `hca serve --memo-budget-mb`.
+    /// Default byte budget (64 MiB) of a daemon's cache. Override it with
+    /// `hca serve --memo-budget`.
     pub const DEFAULT_BUDGET: usize = 64 << 20;
 
     /// Fresh empty cache with a total byte budget. The cache is

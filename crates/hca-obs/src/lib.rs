@@ -46,7 +46,7 @@ pub use trace::{SearchTracer, TraceRecord};
 
 use metrics::Registry;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 thread_local! {
@@ -288,22 +288,6 @@ impl Drop for Span {
     }
 }
 
-// ------------------------------------------------------------------ global
-
-static GLOBAL: OnceLock<Obs> = OnceLock::new();
-
-/// Install the process-wide observer used by code that is not reached by an
-/// explicit [`Obs`] parameter (e.g. SMS trace diagnostics). First caller
-/// wins; returns `false` if one was already installed.
-pub fn set_global(obs: Obs) -> bool {
-    GLOBAL.set(obs).is_ok()
-}
-
-/// The process-wide observer; disabled unless [`set_global`] was called.
-pub fn global() -> Obs {
-    GLOBAL.get().cloned().unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +347,7 @@ mod tests {
         let obs = Obs::enabled();
         let sink = MemorySink::new();
         obs.add_sink(Box::new(sink.clone()));
-        obs.log("sched", "sms", || "II 4: empty window".to_string());
+        obs.log("sched", "modulo", || "II 4: empty window".to_string());
         let events = sink.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].msg.as_deref(), Some("II 4: empty window"));
@@ -402,11 +386,5 @@ mod tests {
         obs.clone().counter_max("memo.bytes", 512);
         obs.counter_max("memo.bytes", 44);
         assert_eq!(obs.snapshot().unwrap().counter("memo.bytes"), Some(512));
-    }
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // Never install a global in tests: first-caller-wins is process-wide.
-        assert!(!global().is_enabled() || GLOBAL.get().is_some());
     }
 }

@@ -3,8 +3,7 @@
 //!
 //! Where [`Obs`](crate::Obs) aggregates (counters, phase totals), a
 //! [`SearchTracer`] keeps the *sequence*: one [`TraceRecord`] per
-//! sub-problem, search tier, placement step, memo decision and MII
-//! attribution. The handle follows the same zero-cost contract as `Obs` —
+//! sub-problem, search tier, placement step and MII attribution. The handle follows the same zero-cost contract as `Obs` —
 //! a disabled tracer is a `None` and [`SearchTracer::record`] never runs
 //! its closure, so instrumented hot paths pay one branch and nothing else.
 //!
@@ -20,13 +19,12 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Record kinds, as stored in [`TraceRecord::kind`].
+/// Record kinds, as stored in [`TraceRecord::kind`]. Readers skip kinds
+/// they do not know, such as the `memo` records older traces carry.
 pub mod kind {
     /// Driver: a sub-problem enters the solver (fields: `problem`, `depth`,
     /// `ws`, `ili_in`, `ili_out`).
     pub const SUB: &str = "sub";
-    /// Driver: memo-cache decision for a sub-problem (`why` = `hit`/`miss`).
-    pub const MEMO: &str = "memo";
     /// Engine: one placement step of one SEE tier (`step`, `node`, `beam`,
     /// rejection deltas, top-`k` `cands`, `ns`).
     pub const STEP: &str = "step";
@@ -135,8 +133,8 @@ pub struct TraceRecord {
     /// Routing queries answered from the static route table.
     #[serde(default)]
     pub route_hits: u64,
-    /// Reason text: tier error, memo `hit`/`miss`, or the name of the MII
-    /// component that bound the estimate (`recurrence`/`issue`/`arc`).
+    /// Reason text: tier error, or the name of the MII component that
+    /// bound the estimate (`recurrence`/`issue`/`arc`).
     #[serde(default)]
     pub why: String,
 }
@@ -371,7 +369,7 @@ mod tests {
         });
         // Explicit problem wins over the scope.
         s.record(|| TraceRecord {
-            kind: kind::MEMO.to_string(),
+            kind: kind::SOLVED.to_string(),
             problem: "explicit".to_string(),
             ..TraceRecord::default()
         });

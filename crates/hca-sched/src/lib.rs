@@ -18,9 +18,6 @@
 //! * [`regalloc`] — rotating-register pressure estimation (MaxLive per CN);
 //! * [`rotating`] — an actual rotating-register *allocation* (modulo
 //!   lifetime interval colouring) validated against the register-file size;
-//! * [`sms`] — Swing Modulo Scheduling (Llosa '96), the classical
-//!   register-pressure-aware alternative, drop-in comparable with the
-//!   iterative scheduler;
 //! * [`dma_prog`] — DMA programming: per-stream descriptors, per-cycle
 //!   request budgeting and FIFO-depth analysis (§5's last future-work
 //!   item).
@@ -35,7 +32,6 @@ pub mod modsched;
 pub mod mrt;
 pub mod regalloc;
 pub mod rotating;
-pub mod sms;
 
 pub use buffers::{buffers_fit, input_buffer_pressure};
 pub use dma_prog::{derive_dma_program, DmaProgram, StreamDescriptor, StreamDir};
@@ -44,4 +40,3 @@ pub use modsched::{modulo_schedule, ModuloSchedule, SchedError};
 pub use mrt::Mrt;
 pub use regalloc::register_pressure;
 pub use rotating::{allocate_rotating, RotatingAllocation};
-pub use sms::swing_schedule;

@@ -64,11 +64,12 @@ fn table1_pipeline_is_thread_count_invariant() {
 
 /// Exact-small ladders start all their tiers at once and cancel the tiers
 /// above a proven exit, so which tiers run — and how far — depends on
-/// timing above one thread. The fold must not: fir2dim and the DSPstone
-/// kernels must agree at widths 1, 2 and 4 on every output bit and, with
-/// the memo off (a concurrent sibling can otherwise turn a miss into a
-/// hit), on the fold's portfolio and SEE counters. Speculation is the one
-/// thing allowed to differ, and on one thread there is none.
+/// timing above one thread; beam-only ladders run every tier, in whatever
+/// order the pool takes them. The fold must not care: under both solver
+/// modes, fir2dim and the DSPstone kernels must agree at widths 1, 2 and 4
+/// on every output bit and on the fold's portfolio and SEE counters.
+/// Speculation is the one thing allowed to differ, and on one thread there
+/// is none.
 #[test]
 fn exact_small_pipeline_is_thread_count_invariant() {
     use hca_repro::hca::{run_hca_obs, PortfolioConfig};
@@ -82,54 +83,59 @@ fn exact_small_pipeline_is_thread_count_invariant() {
     ];
     let _g = OVERRIDE_LOCK.lock().unwrap();
     let fabric = DspFabric::standard(8, 8, 8);
-    let config = HcaConfig {
+    let exact_small = HcaConfig {
         portfolio: PortfolioConfig::exact_small(),
-        memo: false,
         ..HcaConfig::default()
     };
-    let kernels = std::iter::once("fir2dim").chain(hca_repro::kernels::DSPSTONE_NAMES);
-    for name in kernels {
-        let ddg = hca_repro::kernels::builtin(name).expect("built-in kernel");
-        let runs: Vec<(usize, HcaResult)> = [1, 2, 4]
-            .into_iter()
-            .map(|width| {
-                hca_par::set_thread_override(Some(width));
-                let res = run_hca_obs(&ddg, &fabric, &config, &hca_obs::Obs::enabled());
-                hca_par::set_thread_override(None);
-                (
-                    width,
-                    res.unwrap_or_else(|e| panic!("{name} at width {width}: {e}")),
-                )
-            })
-            .collect();
-        let (_, a) = &runs[0];
-        let counter =
-            |r: &HcaResult, c: &str| r.metrics.as_ref().and_then(|m| m.counter(c)).unwrap_or(0);
-        assert_eq!(
-            counter(a, "portfolio.discarded_steps"),
-            0,
-            "{name}: one thread discarded speculative steps"
-        );
-        assert!(a.is_legal(), "{name}: sequential run illegal");
-        for (width, b) in &runs[1..] {
-            let at = format!("{name} at width {width}");
-            assert_eq!(a.placement, b.placement, "{at}: placements diverge");
-            assert_eq!(a.mii, b.mii, "{at}: MII reports diverge");
-            assert_eq!(a.stats, b.stats, "{at}: run statistics diverge");
+    for (mode, config) in [
+        ("beam-only", HcaConfig::default()),
+        ("exact-small", exact_small),
+    ] {
+        let kernels = std::iter::once("fir2dim").chain(hca_repro::kernels::DSPSTONE_NAMES);
+        for name in kernels {
+            let ddg = hca_repro::kernels::builtin(name).expect("built-in kernel");
+            let runs: Vec<(usize, HcaResult)> = [1, 2, 4]
+                .into_iter()
+                .map(|width| {
+                    hca_par::set_thread_override(Some(width));
+                    let res = run_hca_obs(&ddg, &fabric, &config, &hca_obs::Obs::enabled());
+                    hca_par::set_thread_override(None);
+                    (
+                        width,
+                        res.unwrap_or_else(|e| panic!("{name} {mode} at width {width}: {e}")),
+                    )
+                })
+                .collect();
+            let (_, a) = &runs[0];
+            let counter =
+                |r: &HcaResult, c: &str| r.metrics.as_ref().and_then(|m| m.counter(c)).unwrap_or(0);
             assert_eq!(
-                a.final_program.placement, b.final_program.placement,
-                "{at}: final-program placements diverge"
+                counter(a, "portfolio.discarded_steps"),
+                0,
+                "{name} {mode}: one thread discarded speculative steps"
             );
-            assert_eq!(
-                a.final_program.recv_nodes, b.final_program.recv_nodes,
-                "{at}: copy (recv) primitives diverge"
-            );
-            assert_eq!(
-                a.final_program.route_nodes, b.final_program.route_nodes,
-                "{at}: route primitives diverge"
-            );
-            for c in FOLDED {
-                assert_eq!(counter(a, c), counter(b, c), "{at}: counter {c} diverges");
+            assert!(a.is_legal(), "{name} {mode}: sequential run illegal");
+            assert!(counter(a, "see.steps") > 0, "{name} {mode}: no SEE steps");
+            for (width, b) in &runs[1..] {
+                let at = format!("{name} {mode} at width {width}");
+                assert_eq!(a.placement, b.placement, "{at}: placements diverge");
+                assert_eq!(a.mii, b.mii, "{at}: MII reports diverge");
+                assert_eq!(a.stats, b.stats, "{at}: run statistics diverge");
+                assert_eq!(
+                    a.final_program.placement, b.final_program.placement,
+                    "{at}: final-program placements diverge"
+                );
+                assert_eq!(
+                    a.final_program.recv_nodes, b.final_program.recv_nodes,
+                    "{at}: copy (recv) primitives diverge"
+                );
+                assert_eq!(
+                    a.final_program.route_nodes, b.final_program.route_nodes,
+                    "{at}: route primitives diverge"
+                );
+                for c in FOLDED {
+                    assert_eq!(counter(a, c), counter(b, c), "{at}: counter {c} diverges");
+                }
             }
         }
     }

@@ -64,24 +64,6 @@ fn unrolled_kernels_run_end_to_end() {
 }
 
 #[test]
-fn sms_schedules_also_execute_correctly() {
-    // The alternative scheduler feeds the same folding and simulation path.
-    let fabric = DspFabric::standard(8, 8, 8);
-    for ddg in [
-        hca_repro::kernels::fir2dim::build().ddg,
-        hca_repro::kernels::dspstone::biquad(),
-    ] {
-        let res = run_hca(&ddg, &fabric, &HcaConfig::default()).unwrap();
-        let sched =
-            hca_repro::sched::swing_schedule(&res.final_program, &fabric, res.mii.final_mii)
-                .expect("SMS schedules");
-        let folded = KernelSchedule::fold(&res.final_program, &fabric, &sched);
-        verify_execution(&ddg, &res.final_program, &fabric, &folded, 8)
-            .expect("SMS-scheduled execution matches the reference");
-    }
-}
-
-#[test]
 fn reduced_machines_run_end_to_end() {
     // A two-level 16-CN machine exercises the depth-2 code paths.
     let fabric = DspFabric::two_level(4, 4, 4);

@@ -52,15 +52,9 @@ fn every_table1_kernel_emits_a_consistent_trace() {
                 continue; // run-level records
             }
             let solved: Vec<_> = recs.iter().filter(|r| r.kind == kind::SOLVED).collect();
-            let memo_hit = recs.iter().any(|r| r.kind == kind::MEMO && r.why == "hit");
-            // Every visited sub-problem either rehydrates from the memo or
-            // is solved exactly once by a tier or the fallback.
-            assert_eq!(
-                solved.len(),
-                usize::from(!memo_hit),
-                "{}/{problem}: solved records vs memo",
-                kernel.name
-            );
+            // Every visited sub-problem is solved exactly once, by a tier
+            // or the fallback.
+            assert_eq!(solved.len(), 1, "{}/{problem}: solved records", kernel.name);
             for s in solved {
                 // est_mii is the max of its recorded components (≥ 1 floor).
                 let expect = s.mii_rec.max(s.mii_issue).max(s.mii_arc).max(1);
@@ -135,16 +129,12 @@ fn trace_round_trips_through_jsonl() {
 /// ladder fold appends them in tier order, dropping tiers it never reads.
 /// So every sub-problem's record sequence — wall-clock `ns` aside — is the
 /// same on one thread and on four, where tiers overlap (beam-only) or run
-/// speculatively and get cancelled (exact-small). The memo is off: a
-/// concurrent sibling could otherwise turn a miss into a hit.
+/// speculatively and get cancelled (exact-small).
 #[test]
 fn sub_problem_traces_do_not_depend_on_the_thread_count() {
     use hca_core::PortfolioConfig;
     let fabric = DspFabric::standard(8, 8, 8);
-    let beam_only = HcaConfig {
-        memo: false,
-        ..HcaConfig::default()
-    };
+    let beam_only = HcaConfig::default();
     let exact_small = HcaConfig {
         portfolio: PortfolioConfig::exact_small(),
         ..beam_only
