@@ -239,10 +239,10 @@ pub(crate) fn explain_report(
     // The heaviest sub-problems, by search time.
     let mut by_time: Vec<(&String, &SubReport)> = subs.iter().collect();
     by_time.sort_by(|a, b| b.1.step_ns.cmp(&a.1.step_ns).then(a.0.cmp(b.0)));
-    let shown = by_time.len().min(12);
-    let _ = writeln!(out, "\nheaviest sub-problems ({shown} of {}):", subs.len());
-    for (id, s) in by_time.iter().take(shown) {
-        let outcome = match &s.solved {
+    by_time.truncate(12);
+    let outcomes: Vec<String> = by_time
+        .iter()
+        .map(|(_, s)| match &s.solved {
             Some(r) => {
                 let tier = if r.tier == FALLBACK_TIER {
                     "fallback".to_string()
@@ -254,8 +254,23 @@ pub(crate) fn explain_report(
                 format!("{tier}  est MII {} ({})", r.est_mii, r.why)
             }
             None => "(unsolved)".to_string(),
-        };
-        let failed = s.tiers.iter().filter(|t| !t.1).count();
+        })
+        .collect();
+    let width = outcomes
+        .iter()
+        .map(|o| o.chars().count())
+        .max()
+        .unwrap_or(0);
+    let _ = writeln!(
+        out,
+        "\nheaviest sub-problems ({} of {}):",
+        by_time.len(),
+        subs.len()
+    );
+    for ((id, s), outcome) in by_time.iter().zip(&outcomes) {
+        // Exact runs have their own summary above: one that kept the beam
+        // winner is not a failed tier.
+        let failed = s.tiers.iter().filter(|t| !t.1 && t.0 != EXACT_TIER).count();
         let tier_note = if failed > 0 {
             format!("  {failed} tier(s) failed")
         } else {
@@ -263,7 +278,7 @@ pub(crate) fn explain_report(
         };
         let _ = writeln!(
             out,
-            "  {:<12} d{} ws {:<3} {outcome}  {} steps  {:.3} ms{tier_note}",
+            "  {:<12} d{} ws {:<3} {outcome:<width$}  {:>6} steps  {:>9.3} ms{tier_note}",
             if id.is_empty() { "(root)" } else { id.as_str() },
             s.depth,
             s.ws,
@@ -441,64 +456,30 @@ fn diff_report(a_name: &str, a: &[CaseMetrics], b_name: &str, b: &[CaseMetrics])
 mod tests {
     use super::*;
 
-    fn rec(kind_: &str) -> TraceRecord {
-        TraceRecord {
-            kind: kind_.to_string(),
-            ..TraceRecord::default()
-        }
-    }
-
     #[test]
     fn explain_report_aggregates_by_problem() {
-        let records = vec![
-            TraceRecord {
-                problem: "0".into(),
-                ws: 5,
-                ..rec(kind::SUB)
-            },
-            // A record kind older traces carry; the report skips it.
-            TraceRecord {
-                problem: "0".into(),
-                ok: true,
-                why: "hit".into(),
-                ..rec("memo")
-            },
-            TraceRecord {
-                problem: "0".into(),
-                step: 0,
-                ns: 1_000_000,
-                explored: 10,
-                pruned_beam: 4,
-                rej_margin: 2,
-                ..rec(kind::STEP)
-            },
-            TraceRecord {
-                problem: "0".into(),
-                tier: 0,
-                ok: true,
-                est_mii: 3,
-                route_bfs: 1,
-                route_hits: 9,
-                ..rec(kind::TIER)
-            },
-            TraceRecord {
-                problem: "0".into(),
-                tier: 0,
-                est_mii: 3,
-                why: "recurrence".into(),
-                ..rec(kind::SOLVED)
-            },
-            TraceRecord {
-                est_mii: 4,
-                mii_rec: 4,
-                mii_issue: 2,
-                mii_arc: 1,
-                why: "recurrence".into(),
-                ..rec(kind::MII)
-            },
-        ];
+        // Heaviest first. A `memo` record is a kind older traces carry; the
+        // report skips it. `0,0`'s exact run (tier 98) kept the beam winner,
+        // which is not a failed tier; `0,1`'s tier 0 did fail.
+        let records = trace::read_jsonl(
+            r#"{"kind":"sub","problem":"⊤","ws":5}
+               {"kind":"memo","problem":"⊤","ok":true,"why":"hit"}
+               {"kind":"step","problem":"⊤","ns":4000000,"explored":10,"pruned_beam":4,"rej_margin":2}
+               {"kind":"tier","problem":"⊤","ok":true,"est_mii":3,"route_bfs":1,"route_hits":9}
+               {"kind":"solved","problem":"⊤","est_mii":3,"why":"recurrence"}
+               {"kind":"step","problem":"0","ns":3000000}
+               {"kind":"solved","problem":"0","tier":2,"est_mii":12,"why":"issue"}
+               {"kind":"step","problem":"0,0","ns":2000000}
+               {"kind":"tier","problem":"0,0","tier":4,"ok":true}
+               {"kind":"tier","problem":"0,0","tier":98,"ok":false}
+               {"kind":"solved","problem":"0,0","tier":4,"est_mii":5,"why":"arc"}
+               {"kind":"tier","problem":"0,1","tier":0,"ok":false}
+               {"kind":"solved","problem":"0,1","tier":3,"est_mii":5,"why":"issue"}
+               {"kind":"mii","est_mii":4,"mii_rec":4,"mii_issue":2,"mii_arc":1,"why":"recurrence"}"#,
+        )
+        .unwrap();
         let report = explain_report("unit", &records, None);
-        assert!(report.contains("1 sub-problems"), "{report}");
+        assert!(report.contains("4 sub-problems"), "{report}");
         assert!(
             report.contains("final MII 4 — bound by recurrence"),
             "{report}"
@@ -508,8 +489,24 @@ mod tests {
             report.contains("9 static answers / 10 queries (90.0%)"),
             "{report}"
         );
-        assert!(report.contains("est MII 3 (recurrence)"), "{report}");
         assert!(report.contains("beam truncation"), "{report}");
+        let rows: Vec<&str> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("heaviest sub-problems"))
+            .skip(1)
+            .collect();
+        assert_eq!(rows.len(), 4, "{report}");
+        assert!(rows[0].contains("est MII 3 (recurrence)"), "{report}");
+        // The columns line up, counted in chars: `⊤` is three bytes.
+        let column = |row: &str, word: &str| row[..row.find(word).unwrap()].chars().count();
+        for word in [" steps", " ms"] {
+            let aligned = rows
+                .iter()
+                .all(|r| column(r, word) == column(rows[0], word));
+            assert!(aligned, "{word} column:\n{report}");
+        }
+        let failed: Vec<bool> = rows.iter().map(|r| r.ends_with("failed")).collect();
+        assert_eq!(failed, [false, false, false, true], "{report}");
     }
 
     #[test]

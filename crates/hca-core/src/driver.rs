@@ -12,33 +12,32 @@ use crate::decompose::{child_working_sets, effective_spec, level_constraints, le
 use crate::mii::{mii_report, MiiReport};
 use crate::post::{build_final_program, FinalProgram};
 use crate::problem::Subproblem;
-use hca_arch::{CnId, DspFabric, GroupTopology, Topology};
+use hca_arch::{CnId, DspFabric, GroupTopology, LevelSpec, Topology};
 use hca_ddg::{analysis::DdgError, Ddg, DdgAnalysis, NodeId};
 use hca_mapper::{map_level_obs, MapError, MapOptions, MapperOutput};
 use hca_obs::trace::{kind, EXACT_TIER, FALLBACK_TIER};
 use hca_obs::{Obs, RunMetrics, SearchTracer, TraceRecord};
-use hca_see::{mii_lower_bound, solution_score, ExactConfig, See, SeeConfig, SeeError};
-use rustc_hash::FxHashMap;
+use hca_pg::{ArchConstraints, AssignedPg, Ili, Pg, PgNodeId};
+use hca_see::{mii_lower_bound, solution_score, ExactConfig, See, SeeConfig, SeeError, SeeOutcome};
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 /// How much the driver trusts its own output (paper: "a coherency checker
-/// validates legality").
+/// validates legality"). The discriminants are part of the shared cache's
+/// key, and so of its snapshots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ValidationLevel {
-    /// Skip the coherency checker entirely. [`HcaResult::coherency`] is an
-    /// empty (vacuously legal) report; use only when the caller re-validates
-    /// or benchmarks the driver alone.
-    Off,
     /// Run the checker and *report* its verdict in the result — the
     /// historical behaviour, and the default.
     #[default]
-    Report,
+    Report = 1,
     /// Run the checker as a hard gate: any undelivered value, illegal copy
     /// route, or `outNode_MaxIn` fan-in violation turns into a typed
     /// [`HcaError`] instead of reaching the scheduler.
-    Strict,
+    Strict = 2,
 }
 
 impl ValidationLevel {
@@ -82,7 +81,7 @@ pub(crate) const EXACT_MAX_NODES: usize = 12;
 ///
 /// Whatever the mode, the beam runs first and the exact backend only
 /// replaces its result when strictly better on the shared solution score
-/// (`16·MII + copies`), not worse on MII, mappable, and passing
+/// ([`hca_see::solution_score`]), not worse on MII, mappable, and passing
 /// [`hca_pg::ArchConstraints::check`] — so the portfolio's MII is never
 /// worse than beam-alone, and bit-identical to it whenever the beam wins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -350,18 +349,125 @@ struct SolveCtx<'a> {
     obs: &'a Obs,
     analysis: &'a DdgAnalysis,
     theo_mii: u32,
-    /// Topological position per DDG node (the memo cache is DDG-independent,
-    /// so the run supplies this table to the key canonicaliser).
-    topo_pos: &'a [usize],
-    /// The shared sub-problem cache ([`run_hca_shared`]); `None` on every
-    /// other run.
-    memo: Option<&'a crate::memo::Memo>,
+    /// The shared sub-problem cache ([`run_hca_shared`]) and the run's
+    /// topological position per DDG node, which its key canonicaliser reads
+    /// (the cache is DDG-independent); `None` on every other run.
+    memo: Option<(&'a crate::memo::Memo, &'a [usize])>,
     /// Search-trace recorder ([`run_hca_traced`]); disabled elsewhere.
     tracer: &'a SearchTracer,
     /// Beam-ladder decisions shared between an exact-small run, which
     /// records them, and its beam-only guard run, which replays them;
     /// `None` on every other run.
     ladders: Option<&'a LadderBook>,
+}
+
+/// One sub-problem as every solver step reads it: the level's Pattern Graph,
+/// constraints, wire spec, Mapper options and admissible MII floor.
+struct LevelProblem<'a> {
+    cx: &'a SolveCtx<'a>,
+    sp: &'a Subproblem,
+    pg: Pg,
+    constraints: ArchConstraints,
+    spec: LevelSpec,
+    opts: MapOptions,
+    bound: Option<u32>,
+}
+
+/// A `kind` trace record of sub-problem `sp` at `tier`.
+fn trace_record(sp: &Subproblem, kind: &str, tier: u32) -> TraceRecord {
+    TraceRecord {
+        kind: kind.to_string(),
+        problem: sp.id(),
+        depth: sp.depth() as u32,
+        tier,
+        ..TraceRecord::default()
+    }
+}
+
+impl LevelProblem<'_> {
+    /// A [`trace_record`] carrying `o`'s MII estimate and parts, cost, copies.
+    fn outcome_record(&self, kind: &str, tier: u32, o: &SeeOutcome) -> TraceRecord {
+        TraceRecord {
+            est_mii: o.est_mii,
+            mii_rec: self.cx.analysis.mii_rec,
+            mii_issue: o.mii_issue,
+            mii_arc: o.mii_arc,
+            cost: o.cost,
+            copies: o.assigned.total_copies() as u32,
+            ..trace_record(self.sp, kind, tier)
+        }
+    }
+
+    /// Trace a ladder tier that failed after `ns` nanoseconds.
+    fn tier_failed(&self, tier: usize, ns: u64, why: impl FnOnce() -> String) {
+        self.cx.tracer.record(|| TraceRecord {
+            ns,
+            why: why(),
+            ..trace_record(self.sp, kind::TIER, tier as u32)
+        });
+    }
+}
+
+/// Build `sp`'s [`LevelProblem`].
+fn level_problem<'a>(cx: &'a SolveCtx<'a>, sp: &'a Subproblem) -> LevelProblem<'a> {
+    let (ddg, analysis, fabric, obs) = (cx.ddg, cx.analysis, cx.fabric, cx.obs);
+    let d = sp.depth();
+    let decompose_span = obs.span("driver", "decompose");
+    let pg = level_pg(fabric, d, &sp.ili);
+    let constraints = level_constraints(fabric, d);
+    let spec = effective_spec(fabric, d);
+    drop(decompose_span);
+    // Bound sharing (portfolio modes only): admissible MII floors computed
+    // once, before any search, feed both backends — the ladder's
+    // proven-optimal exit and the exact search's pruning cutoff.
+    // BeamOnly skips even the computation so the historical mode stays
+    // literally untouched.
+    let bound = (cx.config.portfolio.mode != PortfolioMode::BeamOnly).then(|| {
+        let lb = mii_lower_bound(ddg, analysis, &pg, &constraints, Some(&sp.working_set));
+        obs.counter_add("portfolio.bounds_computed", 1);
+        lb.overall()
+    });
+    // Pressure-balancing splits only at the very top: deeper levels must
+    // hoard crossbar intake and CN input ports.
+    let opts = MapOptions {
+        balance_split: d + 2 < fabric.depth(),
+    };
+    LevelProblem {
+        cx,
+        sp,
+        pg,
+        constraints,
+        spec,
+        opts,
+        bound,
+    }
+}
+
+/// A mapped level solution and the tier that produced it: a ladder tier,
+/// [`FALLBACK_TIER`] or [`EXACT_TIER`].
+#[derive(Clone)]
+struct Solution {
+    outcome: SeeOutcome,
+    mapped: MapperOutput,
+    tier: u32,
+}
+
+/// What [`run_ladder`] (then [`complete`], when every tier failed) decided.
+#[derive(Clone, Default)]
+struct Ladder {
+    /// The best mapped result.
+    winner: Option<Solution>,
+    /// What each tier added to [`HcaStats::see_states`] (0 when its SEE
+    /// failed); `None` for tiers a bound exit skipped.
+    tier_states: [Option<usize>; 5],
+    /// The winner sits at the global score minimum: the tiers above it and
+    /// the exact backend have nothing left to win.
+    bound_exit: bool,
+    /// Placement steps run by tiers the fold discarded (timing-dependent
+    /// above one thread, like spans).
+    discarded_steps: usize,
+    /// The last tier failure: the error when nothing solves the sub-problem.
+    last_err: Option<HcaError>,
 }
 
 /// The beam ladder's decision for one sub-problem, taken before the exact
@@ -371,13 +477,8 @@ struct SolveCtx<'a> {
 /// run can adopt it instead of re-running the tiers.
 struct LadderRecord {
     working_set: Vec<NodeId>,
-    ili: hca_pg::Ili,
-    /// The tier-fold (or fallback) winner and its tier.
-    winner: (hca_see::SeeOutcome, MapperOutput),
-    winner_tier: u32,
-    /// What each tier added to [`HcaStats::see_states`] (0 when its SEE
-    /// failed); `None` for tiers a bound exit skipped.
-    tier_states: [Option<usize>; 5],
+    ili: Ili,
+    ladder: Ladder,
 }
 
 /// Run-local table of [`LadderRecord`]s keyed by sub-problem path. It lives
@@ -387,9 +488,14 @@ struct LadderRecord {
 struct LadderBook(Mutex<FxHashMap<Vec<usize>, LadderRecord>>);
 
 impl LadderBook {
-    fn record(&self, path: &[usize], rec: LadderRecord) {
+    fn record(&self, sp: &Subproblem, ladder: Ladder) {
+        let rec = LadderRecord {
+            working_set: sp.working_set.clone(),
+            ili: sp.ili.clone(),
+            ladder,
+        };
         let mut book = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        book.insert(path.to_vec(), rec);
+        book.insert(sp.path.clone(), rec);
     }
 
     /// Remove the record of `sp`'s path; `Some` only when the recorded
@@ -405,7 +511,7 @@ impl LadderBook {
 struct TierRun {
     /// The SEE outcome and the Mapper's verdict on it; `Err(Cancelled)`
     /// when a lower tier proved the bound exit first.
-    run: Result<(hca_see::SeeOutcome, Result<MapperOutput, MapError>), SeeError>,
+    run: Result<(SeeOutcome, Result<MapperOutput, MapError>), SeeError>,
     /// Wall-clock nanoseconds of the run (0 when untraced).
     ns: u64,
     /// Placement steps the run started.
@@ -570,12 +676,15 @@ fn run_hca_once(
     let theo_mii = crate::mii::theoretical_mii(analysis.mii_rec, ddg, fabric);
     drop(analysis_span);
 
-    // Topological position per node, for the memo key's relative-order
-    // encoding (the cache itself is DDG-independent).
-    let mut topo_pos = vec![usize::MAX; ddg.num_nodes()];
-    for (i, &n) in analysis.topo.iter().enumerate() {
-        topo_pos[n.index()] = i;
-    }
+    // Topological position per node, for the shared cache's relative-order
+    // key encoding (the cache itself is DDG-independent).
+    let topo_pos = memo.map(|_| {
+        let mut pos = vec![usize::MAX; ddg.num_nodes()];
+        for (i, &n) in analysis.topo.iter().enumerate() {
+            pos[n.index()] = i;
+        }
+        pos
+    });
     let cx = SolveCtx {
         ddg,
         fabric,
@@ -583,8 +692,7 @@ fn run_hca_once(
         obs,
         analysis: &analysis,
         theo_mii,
-        topo_pos: &topo_pos,
-        memo,
+        memo: memo.zip(topo_pos.as_deref()),
         tracer,
         ladders,
     };
@@ -643,28 +751,14 @@ fn run_hca_once(
             ..TraceRecord::default()
         }
     });
-    let coherency = if config.validation == ValidationLevel::Off {
-        CoherencyReport::default()
-    } else {
-        let coherency_span = obs.span("driver", "coherency");
-        let place = &final_program.placement;
-        let report = check_coherency(fabric, &topology, ddg, &|n| place[n.index()]);
-        drop(coherency_span);
-        report
-    };
-    let coherency = match config.validation.enforce(coherency) {
-        Ok(report) => report,
-        Err(e) => {
-            if let HcaError::Incoherent { report } = &e {
-                obs.counter_add("coherency.violations", report.violations.len() as u64);
-                obs.counter_add(
-                    "coherency.topology_errors",
-                    report.topology_errors.len() as u64,
-                );
-            }
-            return Err(e);
-        }
-    };
+    let coherency_span = obs.span("driver", "coherency");
+    let place = &final_program.placement;
+    let coherency = check_coherency(fabric, &topology, ddg, &|n| place[n.index()]);
+    drop(coherency_span);
+    obs.counter_add("coherency.violations", coherency.violations.len() as u64);
+    let topology_errors = coherency.topology_errors.len() as u64;
+    obs.counter_add("coherency.topology_errors", topology_errors);
+    let coherency = config.validation.enforce(coherency)?;
 
     if obs.is_enabled() {
         if let Some(m) = memo {
@@ -678,11 +772,6 @@ fn run_hca_once(
         obs.counter_add("driver.subproblems", stats.subproblems as u64);
         obs.counter_add("driver.forwards", stats.forwards as u64);
         obs.counter_add("driver.wires", stats.wires as u64);
-        obs.counter_add("coherency.violations", coherency.violations.len() as u64);
-        obs.counter_add(
-            "coherency.topology_errors",
-            coherency.topology_errors.len() as u64,
-        );
         obs.instant(
             "driver",
             "done",
@@ -704,93 +793,137 @@ fn run_hca_once(
     })
 }
 
-/// Solve sub-problem `sp` and its whole subtree: run the SEE escalation
-/// ladder and the Mapper at this level, then recurse into the child
-/// sub-problems. The ladder's tiers run concurrently (under a bound, a
-/// proven exit cancels the tiers above it) and the children run
-/// concurrently — both are independent searches, folded or merged in a
-/// fixed order. Returns the subtree's contribution to the final result;
-/// see [`SubResult`] for the determinism contract.
+/// Solve sub-problem `sp` and its whole subtree (paper §4.1): the SEE
+/// escalation ladder and the Mapper, completed by the fallbacks, then the
+/// exact backend, then the children; a shared cache wraps all of it.
+/// Returns the subtree's contribution to the final result; see
+/// [`SubResult`] for the determinism contract.
 fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, HcaError> {
-    let SolveCtx {
-        ddg,
-        fabric,
-        config,
-        obs,
-        analysis,
-        theo_mii,
-        topo_pos,
-        memo,
-        tracer,
-        ladders,
-    } = *cx;
-    let trace_on = tracer.is_enabled();
-    if trace_on {
-        tracer.record(|| TraceRecord {
-            kind: kind::SUB.to_string(),
-            problem: sp.id(),
-            depth: sp.depth() as u32,
-            ws: sp.working_set.len() as u32,
-            ili_in: sp.ili.inputs.len() as u32,
-            ili_out: sp.ili.outputs.len() as u32,
-            ..TraceRecord::default()
-        });
-    }
+    let obs = cx.obs;
+    cx.tracer.record(|| TraceRecord {
+        ws: sp.working_set.len() as u32,
+        ili_in: sp.ili.inputs.len() as u32,
+        ili_out: sp.ili.outputs.len() as u32,
+        ..trace_record(sp, kind::SUB, 0)
+    });
     // Memoisation: answer isomorphic sub-problems from the shared cache.
     // The key encodes the full solving context (see `memo` module docs), so
     // a hit rehydrates to exactly what the solve below would have produced.
-    let memo_ctx = memo.map(|m| {
-        let (key, canon2raw) =
-            crate::memo::canonicalise(topo_pos, ddg, analysis, config, theo_mii, fabric, sp);
+    let memo = cx.memo.map(|(m, topo_pos)| {
+        let (key, canon2raw) = crate::memo::canonicalise(
+            topo_pos,
+            cx.ddg,
+            cx.analysis,
+            cx.config,
+            cx.theo_mii,
+            cx.fabric,
+            sp,
+        );
         (m, key, canon2raw)
     });
-    if let Some((m, key, canon2raw)) = &memo_ctx {
+    if let Some((m, key, canon2raw)) = &memo {
         if let Some(hit) = m.lookup(key) {
             obs.counter_add("driver.memo_hits", 1);
-            return Ok(crate::memo::rehydrate(&hit, canon2raw, &sp.path, fabric));
+            return Ok(crate::memo::rehydrate(&hit, canon2raw, &sp.path, cx.fabric));
         }
         obs.counter_add("driver.memo_misses", 1);
     }
-    let mut res = SubResult {
-        ini_mii: 1,
-        ..SubResult::default()
-    };
-    res.stats.subproblems = 1;
-    let d = sp.depth();
-    let decompose_span = obs.span("driver", "decompose");
-    let pg = level_pg(fabric, d, &sp.ili);
-    let constraints = level_constraints(fabric, d);
-    let spec = effective_spec(fabric, d);
-    drop(decompose_span);
-    // Pressure-balancing splits only at the very top: deeper levels must
-    // hoard crossbar intake and CN input ports.
-    let opts = MapOptions {
-        balance_split: d + 2 < fabric.depth(),
-    };
 
-    // Escalating retries: when the beam dead-ends (or its assignment is
-    // unmappable), widen the search before giving up — a common trick in
-    // production clusterers, and cheap because failures are rare.
-    let mut attempt_err: Option<HcaError> = None;
-    let mut solved: Option<(hca_see::SeeOutcome, MapperOutput)> = None;
-    // Escalation ladder. Tier 0 is the user's config plus the
-    // spread-forcing issue cap; later tiers deliberately *diversify*
-    // (different priority orders, wider beams, and finally a pure
-    // copy-minimising objective) — empirically, distinct sub-problems
-    // fall to distinct strategies, so breadth beats depth here.
-    // Bound sharing (portfolio modes only): admissible MII floors computed
-    // once, before any search, feed both backends — the ladder's
-    // proven-optimal exit below and the exact search's pruning cutoff.
-    // BeamOnly skips even the computation so the historical mode stays
-    // literally untouched.
-    let bound: Option<u32> = (config.portfolio.mode != PortfolioMode::BeamOnly).then(|| {
-        let lb = mii_lower_bound(ddg, analysis, &pg, &constraints, Some(&sp.working_set));
-        obs.counter_add("portfolio.bounds_computed", 1);
-        lb.overall()
+    let lp = level_problem(cx, sp);
+    let mut ladder = run_ladder(&lp);
+    if lp.bound.is_some() {
+        obs.counter_add("portfolio.discarded_steps", ladder.discarded_steps as u64);
+    }
+    if ladder.winner.is_none() {
+        ladder.winner = complete(&lp, ladder.last_err.as_ref());
+    }
+    // Exact-small: record the ladder's decision before the exact backend
+    // can displace it, for the guard run to replay.
+    if let (Some(book), Some(_), Some(_)) = (cx.ladders, lp.bound, &ladder.winner) {
+        book.record(sp, ladder.clone());
+    }
+    let (exact_states, exact_win) = try_exact(&lp, &ladder).unwrap_or_default();
+    let exact_wins = usize::from(exact_win.is_some());
+    let Some(solution) = exact_win.or(ladder.winner) else {
+        obs.log("driver", "subproblem_failed", || {
+            let ddg = cx.ddg;
+            let mut msg = format!("--- failing subproblem {} ---", sp.id());
+            for (i, w) in sp.ili.inputs.iter().enumerate() {
+                msg.push_str(&format!("\n  in[{i}]: {:?}", w.values));
+            }
+            for (i, w) in sp.ili.outputs.iter().enumerate() {
+                msg.push_str(&format!("\n  out[{i}]: {:?}", w.values));
+            }
+            for &n in &sp.working_set {
+                let preds: Vec<String> = ddg
+                    .pred_edges(n)
+                    .map(|(_, e)| format!("{}{}", e.src, if e.distance > 0 { "*" } else { "" }))
+                    .collect();
+                msg.push_str(&format!("\n  {n}: {} <- {:?}", ddg.node(n).op, preds));
+            }
+            msg
+        });
+        return Err(ladder.last_err.expect("at least one attempt ran"));
+    };
+    let (o, mapped) = (&solution.outcome, &solution.mapped);
+    cx.tracer.record(|| {
+        // Per-sub-problem MII attribution: `est_mii` is
+        // `max(mii_rec, mii_issue, mii_arc, 1)` — the binder is the first
+        // component reaching it ("floor" when only the ≥1 clamp holds).
+        let why = match o.est_mii {
+            est if est == cx.analysis.mii_rec => "recurrence",
+            est if est == o.mii_issue => "issue",
+            est if est == o.mii_arc => "arc",
+            _ => "floor",
+        };
+        TraceRecord {
+            why: why.to_string(),
+            ..lp.outcome_record(kind::SOLVED, solution.tier, o)
+        }
     });
+    if cx.config.validation == ValidationLevel::Strict {
+        // Defence in depth: SEE enforces the constraints incrementally, but
+        // under Strict the solved assignment is re-checked from scratch so
+        // a delta-state bug cannot smuggle an `outNode_MaxIn` (or port
+        // budget) violation past the gate.
+        if let Err(detail) = lp.constraints.check(&o.assigned) {
+            let problem = sp.id();
+            return Err(HcaError::Constraint { problem, detail });
+        }
+    }
+    obs.histogram_merge("mapper.copies_per_wire", &mapped.stats.copy_hist);
+    obs.counter_add("mapper.member_wires", mapped.stats.member_wires as u64);
+    obs.counter_add("mapper.glue_in_wires", mapped.stats.glue_in_wires as u64);
+    let stats = HcaStats {
+        subproblems: 1,
+        see_states: ladder.tier_states.iter().flatten().sum::<usize>() + exact_states,
+        routed_nodes: o.stats.routed_nodes,
+        wires: mapped.group.wires.len(),
+        exact_wins,
+        ..HcaStats::default()
+    };
+    let res = descend(&lp, solution, stats)?;
+
+    if let Some((m, key, canon2raw)) = memo {
+        // Defensive: anything outside the canonical universe (which would
+        // make rehydration unsound) skips the cache instead of poisoning it.
+        match crate::memo::capture(&res, &canon2raw, &sp.path, cx.fabric) {
+            Some(canon) => m.offer(key, canon),
+            None => obs.counter_add("driver.memo_uncachable", 1),
+        }
+    }
+    Ok(res)
+}
+
+/// The escalation ladder's SEE configurations. Tier 0 is the user's config
+/// plus the spread-forcing issue cap; later tiers deliberately *diversify*
+/// (different priority orders, wider beams, and finally a pure
+/// copy-minimising objective) — empirically, distinct sub-problems fall to
+/// distinct strategies, so breadth beats depth here.
+fn tier_configs(config: &HcaConfig, theo_mii: u32) -> [SeeConfig; 5] {
     let base = config.see;
     let cap = config.issue_cap_slack;
-    let tiers: [SeeConfig; 5] = [
+    [
         SeeConfig {
             issue_cap: cap.map(|s| theo_mii + s),
             ..base
@@ -830,32 +963,42 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             priority: hca_ddg::PriorityPolicy::ConnectivityFirst,
             ..base
         },
-    ];
-    let elapsed_ns = |t0: Option<std::time::Instant>| {
-        t0.map_or(0, |t| {
-            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-    };
+    ]
+}
+
+/// Nanoseconds since `t0` (0 when untimed).
+fn elapsed_ns(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| {
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    })
+}
+
+/// Run `lp`'s escalation ladder and keep the best mapped tier result — which
+/// strategy wins varies per sub-problem. A guard run adopts the ladder its
+/// exact-small run recorded and runs only the tiers a bound exit skipped
+/// there: they cannot win, but their states belong in `see_states`.
+fn run_ladder(lp: &LevelProblem<'_>) -> Ladder {
+    let (cx, sp, obs, bound) = (lp.cx, lp.sp, lp.cx.obs, lp.bound);
+    let tiers = tier_configs(cx.config, cx.theo_mii);
+    let trace_on = cx.tracer.is_enabled();
     // Proven-optimal exit: with zero copies at the admissible floor a
-    // result's score `16·MII + copies` sits at its global minimum, and the
-    // fold keeps the *earliest* tier on score ties — so no later tier can
+    // result's solution score sits at its global minimum, and the fold
+    // keeps the *earliest* tier on score ties — so no later tier can
     // change the outcome, and the floor is also an absolute optimality
     // proof. Never true without a bound.
-    let proves_exit = |o: &hca_see::SeeOutcome| {
-        bound.is_some_and(|b| o.est_mii <= b && o.assigned.total_copies() == 0)
-    };
+    let proves_exit =
+        |o: &SeeOutcome| bound.is_some_and(|b| o.est_mii <= b && o.assigned.total_copies() == 0);
     // The lowest tier whose own mapped result proved the exit so far
     // (`usize::MAX` until one does); every tier above it is cancelled. It
     // publishes nothing but its own value (each result reaches the fold
     // through `par_map`'s return), so `Relaxed` is enough.
     let exit = AtomicUsize::new(usize::MAX);
-    // One tier: SEE on the working set, then the Mapper on its assignment,
-    // timed for the trace, with its step records kept in a buffer of its
-    // own until the fold takes the tier. It opens its SEE span on whichever
-    // pool thread runs it, so `see.level*` time is SEE busy time summed
-    // over threads. A cancellable run stops once a lower tier proved the
-    // exit: before its SEE starts, at the next placement step, or before
-    // its Mapper runs.
+    // One tier, timed for the trace, with its step records kept in a
+    // buffer of its own until the fold takes the tier. It opens its SEE
+    // span on whichever pool thread runs it, so `see.level*` time is SEE
+    // busy time summed over threads. A cancellable run stops once a lower
+    // tier proved the exit: before its SEE starts, at the next placement
+    // step, or before its Mapper runs.
     let run_tier = |tier: usize, cancellable: bool| {
         let cancelled = || cancellable && exit.load(Ordering::Relaxed) < tier;
         if cancelled() {
@@ -866,12 +1009,13 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 trace: SearchTracer::disabled(),
             };
         }
+        let d = sp.depth();
         let trace = if trace_on {
             SearchTracer::enabled().scoped(&sp.id(), d as u32, tier as u32)
         } else {
             SearchTracer::disabled()
         };
-        let t0 = trace_on.then(std::time::Instant::now);
+        let t0 = trace_on.then(Instant::now);
         let _see_span = obs.span("see", level_phase(d));
         let steps = AtomicUsize::new(0);
         let stop = || {
@@ -881,7 +1025,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
             stop
         };
-        let run = See::new(ddg, analysis, &pg, constraints, tiers[tier])
+        let run = See::new(cx.ddg, cx.analysis, &lp.pg, lp.constraints, tiers[tier])
             .with_tracer(trace.clone())
             .with_stop(&stop)
             .run(Some(&sp.working_set))
@@ -889,7 +1033,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 if cancelled() {
                     return Err(SeeError::Cancelled);
                 }
-                let mapped = map_level_obs(&outcome.assigned, spec, opts, obs);
+                let mapped = map_level_obs(&outcome.assigned, lp.spec, lp.opts, obs);
                 if mapped.is_ok() && proves_exit(&outcome) {
                     exit.fetch_min(tier, Ordering::Relaxed);
                 }
@@ -902,27 +1046,20 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             trace,
         }
     };
-    let mut winner_tier: u32 = FALLBACK_TIER;
-    // What each tier added to `see_states`, for the ladder record; `None`
-    // until the tier runs.
-    let mut tier_states: [Option<usize>; 5] = [None; 5];
+    let mut ladder = Ladder::default();
     let mut todo: Vec<usize> = (0..tiers.len()).collect();
-    // Guard replay: the exact-small run already decided this ladder, so
-    // adopt its winner and run only the tiers a bound exit skipped there.
-    // They cannot win, but their states belong in `see_states`.
-    if let Some(rec) = ladders.filter(|_| bound.is_none()).and_then(|b| b.take(sp)) {
+    let ladders = cx.ladders.filter(|_| bound.is_none());
+    if let Some(rec) = ladders.and_then(|book| book.take(sp)) {
         obs.counter_add("portfolio.guard_replays", 1);
-        res.stats.see_states += rec.tier_states.iter().flatten().sum::<usize>();
-        todo.retain(|&t| rec.tier_states[t].is_none());
-        winner_tier = rec.winner_tier;
-        solved = Some(rec.winner);
+        todo.retain(|&t| rec.ladder.tier_states[t].is_none());
+        ladder.winner = rec.ladder.winner;
+        ladder.tier_states = rec.ladder.tier_states;
     }
-    // Every tier in `todo` starts at once on the pool, and the fold below
-    // takes them in tier order. With a bound they are submitted in tier
-    // order: one thread then runs exactly the sequential ladder, and
-    // exit-prone tier 0 starts first. Without one nothing ends the ladder
-    // early, so the widest beams start first and the short tiers fill in
-    // at the end (EXPERIMENTS.md P9, P14).
+    // With a bound the tiers are submitted in tier order: one thread then
+    // runs exactly the sequential ladder, and exit-prone tier 0 starts
+    // first. Without one nothing ends the ladder early, so the widest
+    // beams start first and the short tiers fill in at the end
+    // (EXPERIMENTS.md P9, P14).
     let mut order = todo.clone();
     if bound.is_none() {
         order.sort_by_key(|&t| std::cmp::Reverse(tiers[t].beam_width * tiers[t].branch_factor));
@@ -931,15 +1068,10 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     let mut by_tier: Vec<_> = order.into_iter().zip(runs).collect();
     by_tier.sort_unstable_by_key(|&(t, _)| t);
     let mut runs = by_tier.into_iter().map(|(_, run)| run);
-    // Placement steps run by tiers the fold discards (timing-dependent
-    // above one thread, like spans).
-    let mut discarded_steps = 0usize;
-    // Fold every tier in tier order and keep the best mapped result —
-    // which strategy wins varies per sub-problem.
-    // Set when a tier winner provably reached the global score minimum
-    // (bound sharing): the remaining tiers — and the exact backend — have
-    // nothing left to win.
-    let mut bound_exit = false;
+    // Copies dominate downstream cost (each becomes receives, ports and
+    // wires one level down), so the solution score weighs them against the
+    // MII estimate rather than tie-breaking on it.
+    let score = |o: &SeeOutcome| solution_score(o.est_mii, o.assigned.total_copies() as u32);
     for tier in todo {
         let mut tier_run = runs.next().expect("one run per tier");
         // Only an exit proved below a tier cancels it, and with an
@@ -947,473 +1079,300 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         // reaching any cancelled one. Should it ever reach one, the tier is
         // recomputed in place: a cancelled run is never folded.
         if matches!(tier_run.run, Err(SeeError::Cancelled)) {
-            discarded_steps += tier_run.steps;
+            ladder.discarded_steps += tier_run.steps;
             tier_run = run_tier(tier, false);
         }
-        tracer.append(&tier_run.trace);
+        cx.tracer.append(&tier_run.trace);
         let TierRun { run, ns, .. } = tier_run;
-        tier_states[tier] = Some(0);
+        ladder.tier_states[tier] = Some(0);
         let (outcome, mapped) = match run {
             Ok(pair) => pair,
             Err(source) => {
-                if trace_on {
-                    let msg = source.to_string();
-                    tracer.record(|| TraceRecord {
-                        kind: kind::TIER.to_string(),
-                        problem: sp.id(),
-                        depth: d as u32,
-                        tier: tier as u32,
-                        ok: false,
-                        ns,
-                        why: msg,
-                        ..TraceRecord::default()
-                    });
-                }
+                lp.tier_failed(tier, ns, || source.to_string());
                 obs.log("see", "tier_failed", || {
                     format!("{} tier {tier}: {source}", sp.id())
                 });
-                attempt_err = Some(HcaError::See {
+                ladder.last_err = Some(HcaError::See {
                     problem: format!(
                         "{} (ws {} nodes, ili {} in / {} out, max_in {})",
                         sp.id(),
                         sp.working_set.len(),
                         sp.ili.inputs.len(),
                         sp.ili.outputs.len(),
-                        constraints.max_in_neighbors,
+                        lp.constraints.max_in_neighbors,
                     ),
                     source,
                 });
                 continue;
             }
         };
-        res.stats.see_states += outcome.stats.states_explored;
-        tier_states[tier] = Some(outcome.stats.states_explored);
+        ladder.tier_states[tier] = Some(outcome.stats.states_explored);
         record_see_stats(obs, &outcome.stats);
-        match mapped {
-            Ok(mapped) => {
-                if trace_on {
-                    let (bfs, hits) = (
-                        outcome.stats.route_bfs_runs as u64,
-                        outcome.stats.route_cache_hits as u64,
-                    );
-                    let copies = outcome.assigned.total_copies() as u32;
-                    let (est, mi, ma, cost) = (
-                        outcome.est_mii,
-                        outcome.mii_issue,
-                        outcome.mii_arc,
-                        outcome.cost,
-                    );
-                    tracer.record(|| TraceRecord {
-                        kind: kind::TIER.to_string(),
-                        problem: sp.id(),
-                        depth: d as u32,
-                        tier: tier as u32,
-                        ok: true,
-                        ns,
-                        est_mii: est,
-                        mii_rec: analysis.mii_rec,
-                        mii_issue: mi,
-                        mii_arc: ma,
-                        cost,
-                        copies,
-                        route_bfs: bfs,
-                        route_hits: hits,
-                        ..TraceRecord::default()
-                    });
-                }
-                // Copies dominate downstream cost (each becomes receives,
-                // ports and wires one level down), so weigh them against
-                // the local MII estimate rather than tie-breaking on it.
-                let score =
-                    |o: &hca_see::SeeOutcome| 16 * o.est_mii as usize + o.assigned.total_copies();
-                let better = match &solved {
-                    None => true,
-                    Some((best, _)) => score(&outcome) < score(best),
-                };
-                if better {
-                    winner_tier = tier as u32;
-                    solved = Some((outcome, mapped));
-                }
-                // Proven-optimal early exit: skipping the later tiers is
-                // output-preserving (see `proves_exit`).
-                if solved.as_ref().is_some_and(|(best, _)| proves_exit(best)) {
-                    obs.counter_add("portfolio.bound_exits", 1);
-                    obs.counter_add("portfolio.gap_known", 1);
-                    bound_exit = true;
-                    break;
-                }
-            }
+        let mapped = match mapped {
+            Ok(mapped) => mapped,
             Err(source) => {
-                if trace_on {
-                    let msg = format!("map: {source}");
-                    tracer.record(|| TraceRecord {
-                        kind: kind::TIER.to_string(),
-                        problem: sp.id(),
-                        depth: d as u32,
-                        tier: tier as u32,
-                        ok: false,
-                        ns,
-                        why: msg,
-                        ..TraceRecord::default()
-                    });
-                }
-                attempt_err = Some(HcaError::Map {
-                    problem: sp.id(),
-                    source,
-                });
+                lp.tier_failed(tier, ns, || format!("map: {source}"));
+                let problem = sp.id();
+                ladder.last_err = Some(HcaError::Map { problem, source });
+                continue;
             }
+        };
+        cx.tracer.record(|| TraceRecord {
+            ok: true,
+            ns,
+            route_bfs: outcome.stats.route_bfs_runs as u64,
+            route_hits: outcome.stats.route_cache_hits as u64,
+            ..lp.outcome_record(kind::TIER, tier as u32, &outcome)
+        });
+        let best = ladder.winner.as_ref().map(|w| score(&w.outcome));
+        if best.is_none_or(|best| score(&outcome) < best) {
+            ladder.winner = Some(Solution {
+                outcome,
+                mapped,
+                tier: tier as u32,
+            });
+        }
+        // Proven-optimal early exit: skipping the later tiers is
+        // output-preserving (see `proves_exit`).
+        let winner = ladder.winner.as_ref().map(|w| &w.outcome);
+        if winner.is_some_and(proves_exit) {
+            obs.counter_add("portfolio.bound_exits", 1);
+            obs.counter_add("portfolio.gap_known", 1);
+            ladder.bound_exit = true;
+            break;
         }
     }
     // Tiers the fold never reached ran speculatively: their results and
     // step records are dropped here.
-    discarded_steps += runs.map(|r| r.steps).sum::<usize>();
-    if bound.is_some() {
-        obs.counter_add("portfolio.discarded_steps", discarded_steps as u64);
-    }
-    // Completion backstop: the deterministic chain layout (see
-    // `See::chain_fallback`) — legal whenever the consumed wires fit,
-    // at terrible MII, so only the search's rare dead-ends pay it.
-    if solved.is_none() {
-        obs.counter_add("driver.fallbacks", 1);
-        obs.log("driver", "fallback", || {
-            format!(
-                "chain fallback at {} (ws {}, ili {}in/{}out): {}",
-                sp.id(),
-                sp.working_set.len(),
-                sp.ili.inputs.len(),
-                sp.ili.outputs.len(),
-                attempt_err
-                    .as_ref()
-                    .map_or_else(|| "?".into(), ToString::to_string),
-            )
-        });
-        let fallback_span = obs.span("driver", "fallback");
-        let see = See::new(ddg, analysis, &pg, constraints, config.see);
-        // Layered (work-spreading) fallback first; the single-host chain
-        // only for the cases it cannot express.
-        for (label, outcome) in [
-            ("layered", see.layered_fallback(Some(&sp.working_set))),
-            ("chain", see.chain_fallback(Some(&sp.working_set))),
-        ] {
-            let Some(outcome) = outcome else { continue };
-            if let Ok(mapped) = map_level_obs(&outcome.assigned, spec, opts, obs) {
-                record_see_stats(obs, &outcome.stats);
-                if trace_on {
-                    let copies = outcome.assigned.total_copies() as u32;
-                    let (est, mi, ma, cost) = (
-                        outcome.est_mii,
-                        outcome.mii_issue,
-                        outcome.mii_arc,
-                        outcome.cost,
-                    );
-                    tracer.record(|| TraceRecord {
-                        kind: kind::TIER.to_string(),
-                        problem: sp.id(),
-                        depth: d as u32,
-                        tier: FALLBACK_TIER,
-                        ok: true,
-                        est_mii: est,
-                        mii_rec: analysis.mii_rec,
-                        mii_issue: mi,
-                        mii_arc: ma,
-                        cost,
-                        copies,
-                        why: label.to_string(),
-                        ..TraceRecord::default()
-                    });
-                }
-                winner_tier = FALLBACK_TIER;
-                solved = Some((outcome, mapped));
-                break;
-            }
-        }
-        drop(fallback_span);
-    }
-    // Exact-small: record the ladder's decision before the exact backend
-    // can displace it, for the guard run to replay.
-    if let (Some(book), Some(_), Some((outcome, mapped))) = (ladders, bound, &solved) {
-        book.record(
-            &sp.path,
-            LadderRecord {
-                working_set: sp.working_set.clone(),
-                ili: sp.ili.clone(),
-                winner: (outcome.clone(), mapped.clone()),
-                winner_tier,
-                tier_states,
-            },
-        );
-    }
+    ladder.discarded_steps += runs.map(|r| r.steps).sum::<usize>();
+    ladder
+}
 
-    // Exact backend: on small sub-problems, run the branch-and-bound
-    // against the beam incumbent. Seeded with the beam's score it only ever
-    // returns strictly better solutions; acceptance additionally requires a
-    // no-worse MII, a successful Mapper run and a from-scratch
-    // `ArchConstraints::check` pass — so the portfolio result is never
-    // worse than beam-alone on MII and bit-identical to it whenever the
-    // beam side wins. A bound-exited winner already sits at the global
-    // score minimum, so the exact run is skipped as pointless.
-    let beam_key = solved.as_ref().map(|(o, _)| {
-        (
-            solution_score(o.est_mii, o.assigned.total_copies() as u32),
-            o.est_mii,
+/// Completion backstop when every tier failed: the layered
+/// (work-spreading) fallback, then the deterministic chain layout (see
+/// `See::chain_fallback`) for the cases it cannot express — legal whenever
+/// the consumed wires fit, at terrible MII, so only the search's rare
+/// dead-ends pay it. `last_err` is the ladder's, for the log.
+fn complete(lp: &LevelProblem<'_>, last_err: Option<&HcaError>) -> Option<Solution> {
+    let (cx, sp, obs) = (lp.cx, lp.sp, lp.cx.obs);
+    obs.counter_add("driver.fallbacks", 1);
+    obs.log("driver", "fallback", || {
+        format!(
+            "chain fallback at {} (ws {}, ili {}in/{}out): {}",
+            sp.id(),
+            sp.working_set.len(),
+            sp.ili.inputs.len(),
+            sp.ili.outputs.len(),
+            last_err.map_or_else(|| "?".into(), ToString::to_string),
         )
     });
-    if let Some((beam_score, beam_mii)) = beam_key {
-        if config.portfolio.mode != PortfolioMode::BeamOnly
-            && !bound_exit
-            && !sp.working_set.is_empty()
-            && sp.working_set.len() <= EXACT_MAX_NODES
-        {
-            obs.counter_add("portfolio.exact_runs", 1);
-            let exact_t0 = trace_on.then(std::time::Instant::now);
-            let exact_span = obs.span("see", "exact");
-            let exact_see = See::new(ddg, analysis, &pg, constraints, SeeConfig::exhaustive());
-            let run = exact_see.run_exact(
-                Some(&sp.working_set),
-                &ExactConfig {
-                    incumbent_score: Some(beam_score),
-                    floor: bound.unwrap_or(1),
-                    ..ExactConfig::default()
-                },
-            );
-            drop(exact_span);
-            if let Ok(ex) = run {
-                res.stats.see_states += usize::try_from(ex.nodes_visited).unwrap_or(usize::MAX);
-                if ex.mii_proven {
-                    obs.counter_add("portfolio.exact_proofs", 1);
-                }
-                // Optimality-gap accounting: when the exact side settles
-                // the optimum — floor hit (absolute) or full enumeration
-                // (optimal among direct assignments) — record how far
-                // beam-alone landed from it.
-                let proven_opt = if ex.mii_proven {
-                    ex.outcome.as_ref().map(|o| o.est_mii)
-                } else if ex.exhausted {
-                    Some(
-                        ex.outcome
-                            .as_ref()
-                            .map_or(beam_mii, |o| o.est_mii.min(beam_mii)),
-                    )
-                } else {
-                    None
-                };
-                if let Some(opt) = proven_opt {
-                    obs.counter_add("portfolio.gap_known", 1);
-                    obs.counter_add("portfolio.gap_sum", u64::from(beam_mii.saturating_sub(opt)));
-                }
-                let mut accepted = false;
-                if let (Some(out), Some(ex_score)) = (ex.outcome, ex.score) {
-                    // The legality gate applies to exact outputs exactly as
-                    // Strict applies to beam outputs — whatever the run's
-                    // validation level, an illegal exact solution never
-                    // displaces a legal beam one.
-                    if ex_score < beam_score
-                        && out.est_mii <= beam_mii
-                        && constraints.check(&out.assigned).is_ok()
-                    {
-                        if let Ok(mapped) = map_level_obs(&out.assigned, spec, opts, obs) {
-                            obs.counter_add("portfolio.exact_wins", 1);
-                            res.stats.exact_wins += 1;
-                            record_see_stats(obs, &out.stats);
-                            winner_tier = EXACT_TIER;
-                            accepted = true;
-                            solved = Some((out, mapped));
-                        }
-                    }
-                }
-                if trace_on {
-                    let ns = elapsed_ns(exact_t0);
-                    let why = if ex.mii_proven {
-                        "proven"
-                    } else if ex.exhausted {
-                        "exhausted"
-                    } else {
-                        "budget"
-                    };
-                    let (est, copies) = solved
-                        .as_ref()
-                        .filter(|_| accepted)
-                        .map_or((0, 0), |(o, _)| {
-                            (o.est_mii, o.assigned.total_copies() as u32)
-                        });
-                    tracer.record(|| TraceRecord {
-                        kind: kind::TIER.to_string(),
-                        problem: sp.id(),
-                        depth: d as u32,
-                        tier: EXACT_TIER,
-                        ok: accepted,
-                        ns,
-                        est_mii: est,
-                        mii_rec: analysis.mii_rec,
-                        copies,
-                        why: why.to_string(),
-                        ..TraceRecord::default()
-                    });
-                }
-            }
-        }
-    }
-
-    let Some((outcome, mapped)) = solved else {
-        obs.log("driver", "subproblem_failed", || {
-            let mut msg = format!("--- failing subproblem {} ---", sp.id());
-            for (i, w) in sp.ili.inputs.iter().enumerate() {
-                msg.push_str(&format!("\n  in[{i}]: {:?}", w.values));
-            }
-            for (i, w) in sp.ili.outputs.iter().enumerate() {
-                msg.push_str(&format!("\n  out[{i}]: {:?}", w.values));
-            }
-            for &n in &sp.working_set {
-                let preds: Vec<String> = ddg
-                    .pred_edges(n)
-                    .map(|(_, e)| format!("{}{}", e.src, if e.distance > 0 { "*" } else { "" }))
-                    .collect();
-                msg.push_str(&format!("\n  {n}: {} <- {:?}", ddg.node(n).op, preds));
-            }
-            msg
-        });
-        return Err(attempt_err.expect("at least one attempt ran"));
-    };
-    if trace_on {
-        // Per-sub-problem MII attribution: `est_mii` is
-        // `max(mii_rec, mii_issue, mii_arc, 1)` — the binder is the first
-        // component reaching it ("floor" when only the ≥1 clamp holds).
-        let est = outcome.est_mii;
-        let why = if analysis.mii_rec == est {
-            "recurrence"
-        } else if outcome.mii_issue == est {
-            "issue"
-        } else if outcome.mii_arc == est {
-            "arc"
-        } else {
-            "floor"
-        };
-        let copies = outcome.assigned.total_copies() as u32;
-        let (mi, ma, cost) = (outcome.mii_issue, outcome.mii_arc, outcome.cost);
-        tracer.record(|| TraceRecord {
-            kind: kind::SOLVED.to_string(),
-            problem: sp.id(),
-            depth: d as u32,
-            tier: winner_tier,
-            est_mii: est,
-            mii_rec: analysis.mii_rec,
-            mii_issue: mi,
-            mii_arc: ma,
-            cost,
-            copies,
-            why: why.to_string(),
-            ..TraceRecord::default()
-        });
-    }
-    if config.validation == ValidationLevel::Strict {
-        // Defence in depth: SEE enforces the constraints incrementally, but
-        // under Strict the solved assignment is re-checked from scratch so
-        // a delta-state bug cannot smuggle an `outNode_MaxIn` (or port
-        // budget) violation past the gate.
-        if let Err(detail) = constraints.check(&outcome.assigned) {
-            return Err(HcaError::Constraint {
-                problem: sp.id(),
-                detail,
+    let _fallback_span = obs.span("driver", "fallback");
+    let see = See::new(cx.ddg, cx.analysis, &lp.pg, lp.constraints, cx.config.see);
+    for (label, outcome) in [
+        ("layered", see.layered_fallback(Some(&sp.working_set))),
+        ("chain", see.chain_fallback(Some(&sp.working_set))),
+    ] {
+        let Some(outcome) = outcome else { continue };
+        if let Ok(mapped) = map_level_obs(&outcome.assigned, lp.spec, lp.opts, obs) {
+            record_see_stats(obs, &outcome.stats);
+            cx.tracer.record(|| TraceRecord {
+                ok: true,
+                why: label.to_string(),
+                ..lp.outcome_record(kind::TIER, FALLBACK_TIER, &outcome)
+            });
+            return Some(Solution {
+                outcome,
+                mapped,
+                tier: FALLBACK_TIER,
             });
         }
     }
-    obs.histogram_merge("mapper.copies_per_wire", &mapped.stats.copy_hist);
-    obs.counter_add("mapper.member_wires", mapped.stats.member_wires as u64);
-    obs.counter_add("mapper.glue_in_wires", mapped.stats.glue_in_wires as u64);
-    res.stats.routed_nodes += outcome.stats.routed_nodes;
-    if d == 0 {
-        res.ini_mii = outcome.est_mii;
-    }
-    res.stats.wires += mapped.group.wires.len();
-    res.groups.push((sp.path.clone(), mapped.group));
+    None
+}
 
-    if d + 1 == fabric.depth() {
-        // Leaf: members are single CNs.
-        for &n in &sp.working_set {
-            let Some(c) = outcome.assigned.cluster_of(n) else {
-                // An SEE dead-end on a pathological PG must surface as a
-                // typed error, not a process abort.
-                return Err(HcaError::Unassigned {
-                    problem: sp.id(),
-                    node: n,
-                });
-            };
-            let mut path = sp.path.clone();
-            path.push(outcome.assigned.pg.member_of(c));
-            res.placement.push((n, fabric.cn_of_path(&path)));
-        }
-        for &(v, c) in &outcome.assigned.forwards {
-            let mut path = sp.path.clone();
-            path.push(outcome.assigned.pg.member_of(c));
-            res.route_ops.push((v, fabric.cn_of_path(&path)));
-        }
-        // Relay hops: a CN that re-emits a value it neither produced nor
-        // forwarded upward still spends an issue slot moving it from its
-        // input buffer to its output register — materialise those too.
-        // Relay dedup is local: leaf paths are disjoint, so CNs never
-        // collide across sub-problems — seeding from this leaf's own
-        // route ops is equivalent to the historical global seed.
-        let mut relays: rustc_hash::FxHashSet<(NodeId, CnId)> =
-            res.route_ops.iter().copied().collect();
-        for (&(a, b), values) in outcome.assigned.copies.iter() {
-            if !outcome.assigned.pg.node(a).kind.is_cluster() || values.is_empty() {
-                continue;
-            }
-            let _ = b;
-            for &v in values {
-                if outcome.assigned.cluster_of(v) != Some(a) {
-                    let mut path = sp.path.clone();
-                    path.push(outcome.assigned.pg.member_of(a));
-                    let cn = fabric.cn_of_path(&path);
-                    if relays.insert((v, cn)) {
-                        res.route_ops.push((v, cn));
-                    }
-                }
-            }
-        }
+/// Exact backend: on small sub-problems, run the branch-and-bound against
+/// the ladder's winner. Seeded with its score it only ever returns strictly
+/// better solutions; acceptance additionally requires a no-worse MII, a
+/// successful Mapper run and a from-scratch `ArchConstraints::check` pass —
+/// so the portfolio result is never worse than beam-alone on MII and
+/// bit-identical to it whenever the beam side wins. Returns the branch
+/// points visited and the solution that displaced the beam's, if any;
+/// `None` when it does not run: under beam-only, on large working sets,
+/// when the search errs, or after a bound exit (the winner already sits at
+/// the global score minimum).
+fn try_exact(lp: &LevelProblem<'_>, ladder: &Ladder) -> Option<(usize, Option<Solution>)> {
+    let (cx, ws, obs) = (lp.cx, &lp.sp.working_set, lp.cx.obs);
+    let small = !ws.is_empty() && ws.len() <= EXACT_MAX_NODES;
+    if cx.config.portfolio.mode == PortfolioMode::BeamOnly || ladder.bound_exit || !small {
+        return None;
+    }
+    let beam = ladder.winner.as_ref()?;
+    let beam_mii = beam.outcome.est_mii;
+    let beam_score = solution_score(beam_mii, beam.outcome.assigned.total_copies() as u32);
+    obs.counter_add("portfolio.exact_runs", 1);
+    let t0 = cx.tracer.is_enabled().then(Instant::now);
+    let exact_span = obs.span("see", "exact");
+    let config = SeeConfig::exhaustive();
+    let run = See::new(cx.ddg, cx.analysis, &lp.pg, lp.constraints, config).run_exact(
+        Some(ws),
+        &ExactConfig {
+            incumbent_score: Some(beam_score),
+            floor: lp.bound.unwrap_or(1),
+            ..ExactConfig::default()
+        },
+    );
+    drop(exact_span);
+    let ex = run.ok()?;
+    if ex.mii_proven {
+        obs.counter_add("portfolio.exact_proofs", 1);
+    }
+    // Optimality-gap accounting: when the exact side settles the optimum —
+    // floor hit (absolute) or full enumeration (optimal among direct
+    // assignments) — record how far beam-alone landed from it.
+    let found = ex.outcome.as_ref().map(|o| o.est_mii);
+    let proven_opt = if ex.mii_proven {
+        found
+    } else if ex.exhausted {
+        Some(found.map_or(beam_mii, |m| m.min(beam_mii)))
     } else {
-        let children: Vec<Subproblem> = {
-            let _decompose_span = obs.span("driver", "decompose");
-            let wss = child_working_sets(&outcome.assigned, &sp.working_set, spec.arity);
-            let mut children = Vec::new();
-            for (member, ws) in wss.into_iter().enumerate() {
-                let ili = mapped.child_ilis[member].clone();
-                if ws.is_empty() && ili.is_empty() {
-                    continue; // nothing to do in this subtree
-                }
-                let mut path = sp.path.clone();
-                path.push(member);
-                children.push(Subproblem {
-                    path,
-                    working_set: ws,
-                    ili,
-                });
-            }
-            children
+        None
+    };
+    if let Some(opt) = proven_opt {
+        obs.counter_add("portfolio.gap_known", 1);
+        obs.counter_add("portfolio.gap_sum", u64::from(beam_mii.saturating_sub(opt)));
+    }
+    // The legality gate applies to exact outputs exactly as Strict applies
+    // to beam outputs — whatever the run's validation level, an illegal
+    // exact solution never displaces a legal beam one.
+    let win = match (ex.outcome, ex.score) {
+        (Some(outcome), Some(score))
+            if score < beam_score
+                && outcome.est_mii <= beam_mii
+                && lp.constraints.check(&outcome.assigned).is_ok() =>
+        {
+            let mapped = map_level_obs(&outcome.assigned, lp.spec, lp.opts, obs);
+            mapped.ok().map(|mapped| Solution {
+                outcome,
+                mapped,
+                tier: EXACT_TIER,
+            })
+        }
+        _ => None,
+    };
+    if let Some(win) = &win {
+        obs.counter_add("portfolio.exact_wins", 1);
+        record_see_stats(obs, &win.outcome.stats);
+    }
+    cx.tracer.record(|| {
+        let why = match (ex.mii_proven, ex.exhausted) {
+            (true, _) => "proven",
+            (_, true) => "exhausted",
+            _ => "budget",
         };
+        let won = win.as_ref().map(|w| &w.outcome);
+        TraceRecord {
+            ok: won.is_some(),
+            ns: elapsed_ns(t0),
+            est_mii: won.map_or(0, |o| o.est_mii),
+            mii_rec: cx.analysis.mii_rec,
+            copies: won.map_or(0, |o| o.assigned.total_copies() as u32),
+            why: why.to_string(),
+            ..trace_record(lp.sp, kind::TIER, EXACT_TIER)
+        }
+    });
+    let visited = usize::try_from(ex.nodes_visited).unwrap_or(usize::MAX);
+    Some((visited, win))
+}
+
+/// Lay the level's solution `s` out below `lp`'s sub-problem, on top of its
+/// wire group and `stats`: a leaf places nodes, forwards and relay hops on
+/// its CNs; an inner level solves its children and merges them.
+fn descend(lp: &LevelProblem<'_>, s: Solution, stats: HcaStats) -> Result<SubResult, HcaError> {
+    let (cx, sp, d) = (lp.cx, lp.sp, lp.sp.depth());
+    let mut res = SubResult {
+        groups: vec![(sp.path.clone(), s.mapped.group)],
+        stats,
+        ini_mii: if d == 0 { s.outcome.est_mii } else { 1 },
+        ..SubResult::default()
+    };
+    let assigned = &s.outcome.assigned;
+    if d + 1 != cx.fabric.depth() {
+        let children = children(lp, assigned, &s.mapped.child_ilis);
         // Sibling sub-problems are independent (disjoint working sets,
         // private ILIs): solve the subtrees on the worker pool. hca-par
         // returns results in input order; merging in *reverse* member
         // order reproduces the historical explicit-stack DFS traversal
         // bit for bit, whatever the thread count.
-        let solved_children = hca_par::par_map(&children, |child| solve_subproblem(cx, child));
-        for child in solved_children.into_iter().rev() {
+        let solved = hca_par::par_map(&children, |child| solve_subproblem(cx, child));
+        for child in solved.into_iter().rev() {
             let child = child?;
             res.placement.extend(child.placement);
             res.route_ops.extend(child.route_ops);
             res.groups.extend(child.groups);
             merge_stats(&mut res.stats, &child.stats);
         }
+        return Ok(res);
     }
-    if let Some((m, key, canon2raw)) = memo_ctx {
-        // Defensive: anything outside the canonical universe (which would
-        // make rehydration unsound) skips the cache instead of poisoning it.
-        match crate::memo::capture(&res, &canon2raw, &sp.path, fabric) {
-            Some(canon) => m.offer(key, canon),
-            None => obs.counter_add("driver.memo_uncachable", 1),
+    let cn_of = |c: PgNodeId| {
+        let mut path = sp.path.clone();
+        path.push(assigned.pg.member_of(c));
+        cx.fabric.cn_of_path(&path)
+    };
+    for &n in &sp.working_set {
+        // An SEE dead-end on a pathological PG must surface as a typed
+        // error, not a process abort.
+        let Some(c) = assigned.cluster_of(n) else {
+            let problem = sp.id();
+            return Err(HcaError::Unassigned { problem, node: n });
+        };
+        res.placement.push((n, cn_of(c)));
+    }
+    for &(v, c) in &assigned.forwards {
+        res.route_ops.push((v, cn_of(c)));
+    }
+    // Relay hops: a CN that re-emits a value it neither produced nor
+    // forwarded upward still spends an issue slot moving it from its input
+    // buffer to its output register — materialise those too. Relay dedup
+    // is local: leaf paths are disjoint, so CNs never collide across
+    // sub-problems — seeding from this leaf's own route ops is equivalent
+    // to the historical global seed.
+    let mut relays: FxHashSet<(NodeId, CnId)> = res.route_ops.iter().copied().collect();
+    for (&(a, _), values) in assigned.copies.iter() {
+        if !assigned.pg.node(a).kind.is_cluster() {
+            continue;
+        }
+        for &v in values {
+            if assigned.cluster_of(v) != Some(a) {
+                let cn = cn_of(a);
+                if relays.insert((v, cn)) {
+                    res.route_ops.push((v, cn));
+                }
+            }
         }
     }
     Ok(res)
+}
+
+/// `lp`'s child sub-problems: each member's working set (the paper's WS
+/// rule) with the ILI the Mapper generated for it, unless both are empty.
+fn children(lp: &LevelProblem<'_>, assigned: &AssignedPg, ilis: &[Ili]) -> Vec<Subproblem> {
+    let _decompose_span = lp.cx.obs.span("driver", "decompose");
+    let wss = child_working_sets(assigned, &lp.sp.working_set, lp.spec.arity);
+    let mut children = Vec::new();
+    for (member, working_set) in wss.into_iter().enumerate() {
+        let ili = ilis[member].clone();
+        if working_set.is_empty() && ili.is_empty() {
+            continue;
+        }
+        let mut path = lp.sp.path.clone();
+        path.push(member);
+        children.push(Subproblem {
+            path,
+            working_set,
+            ili,
+        });
+    }
+    children
 }
 
 /// Run HCA under a small portfolio of base configurations and keep the
@@ -1554,20 +1513,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_off_skips_the_checker() {
-        let ddg = small_kernel();
-        let fabric = DspFabric::standard(8, 8, 8);
-        let cfg = HcaConfig {
-            validation: ValidationLevel::Off,
-            ..HcaConfig::default()
-        };
-        let res = run_hca(&ddg, &fabric, &cfg).unwrap();
-        // The report is vacuously empty — Off means "trust me".
-        assert!(res.coherency.violations.is_empty());
-        assert!(res.coherency.topology_errors.is_empty());
-    }
-
-    #[test]
     fn portfolio_exact_small_never_worse_and_deterministic() {
         let ddg = small_kernel();
         let fabric = DspFabric::two_level(4, 4, 4);
@@ -1619,6 +1564,54 @@ mod tests {
         let m = res.metrics.expect("enabled observer snapshots metrics");
         assert_eq!(m.counter("portfolio.bounds_computed"), None);
         assert_eq!(m.counter("portfolio.exact_runs"), None);
+    }
+
+    #[test]
+    fn fold_recomputes_a_cancelled_tier_it_reaches() {
+        // fir2dim's sub-problem `0` on the paper's machine: its tiers read
+        // est MII / copies 4/17, 4/17, 4/15, 11/0 and 4/15. Under the
+        // inadmissible bound 11, tier 3 proves a false exit that cancels
+        // tier 4, but tier 2 stays the best result, so the fold does not
+        // stop at tier 3 and reaches the cancelled tier 4.
+        let ddg = hca_kernels::builtin("fir2dim").expect("built-in kernel");
+        let fabric = DspFabric::standard(8, 8, 8);
+        let config = HcaConfig::default();
+        let analysis = DdgAnalysis::compute(&ddg).unwrap();
+        let cx = SolveCtx {
+            ddg: &ddg,
+            fabric: &fabric,
+            config: &config,
+            obs: &Obs::disabled(),
+            analysis: &analysis,
+            theo_mii: crate::mii::theoretical_mii(analysis.mii_rec, &ddg, &fabric),
+            memo: None,
+            tracer: &SearchTracer::disabled(),
+            ladders: None,
+        };
+        let root = Subproblem::root(ddg.node_ids().collect());
+        let top = level_problem(&cx, &root);
+        let w = run_ladder(&top).winner.expect("the root solves");
+        let sub = children(&top, &w.outcome.assigned, &w.mapped.child_ilis)
+            .into_iter()
+            .find(|c| c.path == [0])
+            .expect("member 0 has work");
+        let mut lp = level_problem(&cx, &sub);
+        let summary = |ladder: &Ladder| {
+            let w = ladder.winner.as_ref().expect("a tier solves");
+            let copies = w.outcome.assigned.total_copies();
+            (w.tier, w.outcome.est_mii, copies, ladder.tier_states)
+        };
+        let unbounded = summary(&run_ladder(&lp));
+        assert_eq!((unbounded.0, unbounded.1, unbounded.2), (2, 4, 15));
+        assert!(unbounded.3.iter().all(|s| s.is_some_and(|n| n > 0)));
+        lp.bound = Some(11);
+        for width in [1, 2, 4] {
+            hca_par::set_thread_override(Some(width));
+            let ladder = run_ladder(&lp);
+            hca_par::set_thread_override(None);
+            assert!(!ladder.bound_exit, "width {width}");
+            assert_eq!(summary(&ladder), unbounded, "width {width}");
+        }
     }
 
     #[test]

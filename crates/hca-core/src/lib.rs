@@ -25,6 +25,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Keep the solver's functions short enough to read as named steps (the
+// threshold is in the workspace's clippy.toml).
+#![deny(clippy::too_many_lines)]
 
 pub mod coherency;
 pub mod decompose;

@@ -100,7 +100,7 @@ pub struct ExactOutcome {
 }
 
 /// The solution score both portfolio backends optimise: MII dominates,
-/// copies tie-break. Must mirror the driver's tier-selection score.
+/// copies tie-break.
 #[inline]
 pub fn solution_score(est_mii: u32, total_copies: u32) -> u64 {
     16 * u64::from(est_mii) + u64::from(total_copies)
